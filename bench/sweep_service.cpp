@@ -154,19 +154,7 @@ journalPass(const Grid& grid, const std::vector<std::size_t>& cells,
         rec.key = key;
         rec.values = {{"time_ns", run.time},
                       {"util", run.weighted_util}};
-        std::uint64_t h = 14695981039346656037ull;
-        for (const auto& [name, v] : rec.values) {
-            for (char c : name)
-                h = (h ^ static_cast<unsigned char>(c)) *
-                    1099511628211ull;
-            std::uint64_t bits = 0;
-            static_assert(sizeof(bits) == sizeof(v));
-            std::memcpy(&bits, &v, sizeof(bits));
-            for (int b = 0; b < 8; ++b)
-                h = (h ^ ((bits >> (8 * b)) & 0xff)) *
-                    1099511628211ull;
-        }
-        rec.fingerprint = h;
+        rec.fingerprint = sim::fingerprintValues(rec.values);
         rec.wall_ms = (bench::nowNs() - c0) / 1e6;
         store.append(std::move(rec));
     }

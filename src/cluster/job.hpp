@@ -19,6 +19,7 @@
 #define THEMIS_CLUSTER_JOB_HPP
 
 #include <string>
+#include <vector>
 
 #include "core/chunk.hpp"
 #include "core/priority_policy.hpp"
@@ -103,6 +104,17 @@ struct JobSpec
     /** Throws ConfigError on an ill-formed spec. */
     void validate() const;
 };
+
+/**
+ * Parse a ';'-separated job list (the grammar of themis_cli --jobs):
+ *   train:MODEL[,arrival=NS][,tier=T][,iterations=N]
+ *   infer:SIZE,period=NS[,arrival=NS][,tier=T][,deadline=NS][,requests=N]
+ * with T one of bulk|standard|urgent (or 0|1|2). Training jobs run
+ * @p default_iterations unless given. Numbers must be whole-string
+ * numbers; a malformed entry throws ConfigError naming it.
+ */
+std::vector<JobSpec> parseJobSpecs(const std::string& specs,
+                                   int default_iterations);
 
 /** Everything one job did during a cluster run. */
 struct JobStats

@@ -138,6 +138,28 @@ struct Cursor
 
 } // namespace
 
+std::uint64_t
+fingerprintBytes(const void* data, std::size_t n, std::uint64_t h)
+{
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::uint64_t
+fingerprintValues(const std::vector<std::pair<std::string, double>>& values)
+{
+    std::uint64_t h = kFingerprintBasis;
+    for (const auto& [name, v] : values) {
+        h = fingerprintBytes(name.data(), name.size(), h);
+        h = fingerprintBytes(&v, sizeof(v), h);
+    }
+    return h;
+}
+
 const double*
 ResultRecord::value(const std::string& name) const
 {

@@ -54,6 +54,21 @@ struct ResultRecord
     const double* value(const std::string& name) const;
 };
 
+/** FNV-1a 64-bit offset basis of the result fingerprints. */
+inline constexpr std::uint64_t kFingerprintBasis = 14695981039346656037ull;
+
+/** Byte-wise FNV-1a over @p n bytes at @p data, continuing @p h. */
+std::uint64_t fingerprintBytes(const void* data, std::size_t n,
+                               std::uint64_t h = kFingerprintBasis);
+
+/**
+ * Result fingerprint of @p values: byte-wise FNV-1a over each name's
+ * characters, then the value's in-memory bit pattern. Journals persist
+ * it, so the hash must never change.
+ */
+std::uint64_t fingerprintValues(
+    const std::vector<std::pair<std::string, double>>& values);
+
 /**
  * Canonical config key from key=value pairs: pairs sorted by name and
  * joined with ';' ("chunks=8;sched=scf;topo=2D-SW_SW"). Names and
