@@ -89,6 +89,9 @@ Options parseArgs(const std::vector<std::string>& args);
 /** The usage text, generated from the flag and mode tables. */
 std::string usageText(const std::string& argv0);
 
+/** Every flag of the table, in table order. */
+std::vector<std::string> flagNames();
+
 /**
  * Parse, run the selected mode, and map failures to exit codes:
  * usage error 2, ConfigError 1, retry exhaustion 2.

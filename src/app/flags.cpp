@@ -266,6 +266,15 @@ usageText(const std::string& argv0)
     return out;
 }
 
+std::vector<std::string>
+flagNames()
+{
+    std::vector<std::string> names;
+    for (const Flag& f : kFlags)
+        names.push_back(f.name);
+    return names;
+}
+
 int
 runMode(Session& s)
 {

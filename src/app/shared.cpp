@@ -3,6 +3,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "app/app.hpp"
 #include "common/error.hpp"
@@ -196,8 +197,9 @@ runCli(int argc, char** argv)
     try {
         opt = parseArgs(std::vector<std::string>(argv + 1, argv + argc));
     } catch (const UsageError& e) {
-        std::fprintf(stderr, "error: %s\n\n%s", e.what(),
-                     usageText(argv[0]).c_str());
+        std::fprintf(
+            stderr, "error: %s\n\n%s", e.what(),
+            usageText(std::filesystem::path(argv[0]).filename()).c_str());
         return 2;
     }
     Session s(opt);

@@ -75,6 +75,21 @@ TEST(ResultKey, SortsFieldsAndJoins)
               sim::makeResultKey({{"a", "1"}, {"b", "2"}}));
 }
 
+TEST(ResultFingerprint, MatchesPersistedJournals)
+{
+    // Journals persist this hash, so it must never change: byte-wise
+    // FNV-1a from the standard 64-bit basis over each name, then the
+    // value's bit pattern. The expected value was written by the CLI
+    // into the journals under tests/golden/cli (serve_fresh).
+    const std::vector<std::pair<std::string, double>> values = {
+        {"time_ns", 876385.546875}, {"util", 0.9119488024989002}};
+    EXPECT_EQ(sim::fingerprintValues(values), 0xc460c75ff35a8d57ull);
+    EXPECT_EQ(sim::fingerprintValues({}), 14695981039346656037ull);
+    const char ab[] = {'a', 'b'};
+    EXPECT_EQ(sim::fingerprintBytes(ab, 2),
+              sim::fingerprintBytes(ab + 1, 1, sim::fingerprintBytes(ab, 1)));
+}
+
 TEST(ResultRecordCodec, RoundTripsDoublesExactly)
 {
     ResultRecord rec;
