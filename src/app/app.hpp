@@ -92,6 +92,7 @@ struct SchedulerSetup
 const std::vector<SchedulerSetup>& schedulerSetups();
 std::optional<std::size_t> schedulerIndex(const std::string& flag);
 
+/** 16-digit hex rendering of a hash or fingerprint. */
 std::string hex16(std::uint64_t h);
 
 /** Monotonic wall clock in milliseconds. */

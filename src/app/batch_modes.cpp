@@ -394,7 +394,7 @@ struct Query
     std::string error; ///< non-empty: rejected at parse
     std::string key;
     std::optional<Topology> topo;
-    std::size_t sched = 2; ///< scf
+    std::size_t sched = 2; ///< schedulerSetups() index of scf
     CollectiveRequest req;
     bool is_model = false; ///< a convergence run of model
     std::string model;
@@ -424,8 +424,6 @@ parseQuery(const std::string& line, const Options& o)
         const std::string val = tok.substr(eq + 1);
         if (val.find_first_of(";=") != std::string::npos)
             return fail("value '" + val + "' contains a reserved ';' or '='");
-        const auto size = parseNumber(val);
-        const auto count = parseCount(val);
         if (key == "topo") {
             topo_tok = val;
         } else if (key == "sched") {
@@ -433,13 +431,20 @@ parseQuery(const std::string& line, const Options& o)
             if (!idx)
                 return fail("bad sched '" + val + "' (base|fifo|scf)");
             q.sched = *idx;
-        } else if (key == "chunks" || key == "iters") {
-            if (!count)
-                return fail("bad " + key + " '" + val + "'");
-            (key == "chunks" ? q.req.chunks : q.iters) = *count;
+        } else if (key == "chunks") {
+            const auto n = parseCount(val);
+            if (!n)
+                return fail("bad chunks '" + val + "'");
+            q.req.chunks = *n;
+        } else if (key == "iters") {
+            const auto n = parseCount(val);
+            if (!n)
+                return fail("bad iters '" + val + "'");
+            q.iters = *n;
         } else if (key == "type") {
             type_tok = toLower(val);
         } else if (key == "size") {
+            const auto size = parseNumber(val);
             if (!size || *size <= 0.0)
                 return fail("bad size '" + val + "'");
             q.req.size = *size;
@@ -551,9 +556,12 @@ runServe(Session& s)
             if (miss) {
                 ms = sim_it->second;
                 simulated_ms.erase(sim_it); // later repeats are hits
+                ++n_miss;
+                miss_ms += ms;
+            } else {
+                ++n_hit;
+                hit_ms += ms;
             }
-            ++(miss ? n_miss : n_hit);
-            (miss ? miss_ms : hit_ms) += ms;
             metrics.counter(miss ? "serve.misses" : "serve.hits").add();
             metrics.histogram(miss ? "serve.miss_ns" : "serve.hit_ns")
                 .record(ms * 1e6);

@@ -34,8 +34,6 @@ enum class Mode
     Single,     ///< one collective on --topo
 };
 
-const char* modeName(Mode mode);
-
 /** A command-line mistake: runCli prints it and the usage, exit 2. */
 class UsageError : public std::runtime_error
 {

@@ -172,12 +172,6 @@ setValue(Options& o, const Flag& f, const std::string& v)
 
 } // namespace
 
-const char*
-modeName(Mode mode)
-{
-    return modeInfo(mode).name;
-}
-
 Options
 parseArgs(const std::vector<std::string>& args)
 {
@@ -192,20 +186,20 @@ parseArgs(const std::vector<std::string>& args)
             [&](const Flag& fl) { return args[i] == fl.name; });
         if (f == std::end(kFlags))
             throw UsageError("unknown flag '" + args[i] + "'");
-        if (f->arg == Arg::Switch)
-            o.*std::get<bool Options::*>(f->field) = true;
-        else if (i + 1 == args.size())
-            throw UsageError(args[i] + " wants a value (" + f->metavar + ")");
-        else
-            setValue(o, *f, args[++i]);
-        // An all-digit --jobs keeps its historical meaning (sweep worker
-        // threads; 0 = hardware concurrency); anything else is a spec.
-        if (std::string(f->name) == "--jobs" && !o.jobs.empty() &&
-            o.jobs.find_first_not_of("0123456789") == std::string::npos) {
-            o.threads = parseCount(o.jobs).value_or(0);
-            o.jobs.clear();
-        }
         given.push_back(f->name);
+        if (f->arg == Arg::Switch) {
+            o.*std::get<bool Options::*>(f->field) = true;
+        } else if (i + 1 == args.size()) {
+            throw UsageError(args[i] + " wants a value (" + f->metavar + ")");
+        } else if (given.back() == "--jobs" &&
+                   args[i + 1].find_first_not_of("0123456789") ==
+                       std::string::npos) {
+            // An all-digit --jobs keeps its historical meaning: sweep
+            // worker threads (0 = hardware concurrency), not a spec.
+            o.threads = parseCount(args[++i]).value_or(0);
+        } else {
+            setValue(o, *f, args[++i]);
+        }
     }
 
     if (has("--merge"))
@@ -223,7 +217,7 @@ parseArgs(const std::vector<std::string>& args)
     for (const Flag& f : kFlags)
         if (has(f.name) && (f.modes & bit(o.mode)) == 0)
             throw UsageError(std::string(f.name) + " does not apply to the " +
-                             modeName(o.mode) + " mode (" +
+                             modeInfo(o.mode).name + " mode (" +
                              modeInfo(o.mode).selector +
                              "); it applies to: " + modeList(f.modes));
 

@@ -25,15 +25,8 @@ using stats::telemetry::RunReport;
 
 namespace {
 
-/**
- * The per-dimension fault table (with --faults; @p scope says which
- * part of the run it covers) and the adaptation line (with --adapt),
- * on stdout and, when @p report is given, in the run report.
- */
-void
-faultReport(const Session& s, const Topology& topo,
-            const runtime::CommRuntime& comm, const char* scope,
-            RunReport* report)
+std::vector<stats::FaultDimRow>
+faultRows(const Topology& topo, const runtime::CommRuntime& comm)
 {
     const auto& ut = comm.utilization();
     std::vector<stats::FaultDimRow> rows;
@@ -50,29 +43,44 @@ faultReport(const Session& s, const Topology& topo,
         }
         rows.push_back(row);
     }
-    if (report == nullptr) {
-        if (!s.opt.faults.empty())
-            std::printf("\nfault report%s (--faults \"%s\"):\n%s", scope,
-                        s.opt.faults.c_str(),
-                        stats::renderFaultTable(rows).c_str());
-        if (s.opt.adapt)
-            std::printf("adaptation: %llu re-plan(s), capacity epoch %#llx\n",
-                        static_cast<unsigned long long>(comm.replanCount()),
-                        static_cast<unsigned long long>(
-                            comm.capacityFingerprint()));
-        return;
-    }
+    return rows;
+}
+
+/**
+ * The per-dimension fault table (with --faults; @p scope says which
+ * part of the run it covers) and the adaptation line (with --adapt).
+ */
+void
+printFaults(const Session& s, const Topology& topo,
+            const runtime::CommRuntime& comm, const char* scope)
+{
+    if (!s.opt.faults.empty())
+        std::printf("\nfault report%s (--faults \"%s\"):\n%s", scope,
+                    s.opt.faults.c_str(),
+                    stats::renderFaultTable(faultRows(topo, comm)).c_str());
+    if (s.opt.adapt)
+        std::printf("adaptation: %llu re-plan(s), capacity epoch %#llx\n",
+                    static_cast<unsigned long long>(comm.replanCount()),
+                    static_cast<unsigned long long>(
+                        comm.capacityFingerprint()));
+}
+
+/** printFaults for the run report: info, numbers, "fault" section. */
+void
+reportFaults(RunReport& report, const Session& s, const Topology& topo,
+             const runtime::CommRuntime& comm)
+{
     if (s.opt.adapt) {
-        report->setNumber("replans", static_cast<double>(comm.replanCount()));
-        report->setInfo("capacity_fingerprint",
-                        hex16(comm.capacityFingerprint()));
+        report.setNumber("replans", static_cast<double>(comm.replanCount()));
+        report.setInfo("capacity_fingerprint",
+                       hex16(comm.capacityFingerprint()));
     }
     if (s.opt.faults.empty())
         return;
-    report->setInfo("faults", s.opt.faults);
+    report.setInfo("faults", s.opt.faults);
     JsonWriter w;
     w.beginArray();
-    for (const auto& r : rows)
+    for (const auto& r : faultRows(topo, comm))
         w.beginObject()
             .key("dim").value(r.name)
             .key("capacity_events").value(r.capacity_events)
@@ -85,15 +93,7 @@ faultReport(const Session& s, const Topology& topo,
             .key("fatal_retries").value(r.fatal_retries)
             .endObject();
     w.endArray();
-    report->addSection("fault", w.str());
-}
-
-void
-setNumbers(RunReport& report,
-           std::initializer_list<std::pair<const char*, double>> numbers)
-{
-    for (const auto& [key, value] : numbers)
-        report.setNumber(key, value);
+    report.addSection("fault", w.str());
 }
 
 std::string
@@ -219,8 +219,7 @@ jobReport(const std::vector<cluster::JobStats>& jobs, RunReport& report,
             .endObject();
     }
     w.endArray();
-    std::printf("%s%s", lockstep ? "\n" : "",
-                stats::renderJobTable(rows).c_str());
+    std::printf("%s", stats::renderJobTable(rows).c_str());
     report.addSection("jobs", w.str());
 }
 
@@ -290,7 +289,7 @@ runSingle(Session& s)
                     fmtPercent(per_dim[d]).c_str());
     std::printf("  ideal       : %s (size / total BW)\n",
                 fmtTime(ideal).c_str());
-    faultReport(s, topo, comm, "", nullptr);
+    printFaults(s, topo, comm, "");
     if (o.validate) {
         // Re-simulate with every NPU modelled individually; on a
         // symmetric platform the two backends must agree.
@@ -312,10 +311,12 @@ runSingle(Session& s)
     report.setInfo("topology", topo.name());
     report.setInfo("collective", collectiveTypeName(req.type));
     report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
-    setNumbers(report, {{"size_bytes", req.size}, {"chunks", o.chunks},
-                        {"time_ns", time}, {"utilization", util},
-                        {"ideal_ns", ideal}});
-    faultReport(s, topo, comm, "", &report);
+    report.setNumber("size_bytes", req.size);
+    report.setNumber("chunks", o.chunks);
+    report.setNumber("time_ns", time);
+    report.setNumber("utilization", util);
+    report.setNumber("ideal_ns", ideal);
+    reportFaults(report, s, topo, comm);
     s.finish(report);
     return 0;
 }
@@ -352,7 +353,7 @@ runIterations(Session& s)
     // Fault counters are per-iteration-epoch state (steady-state
     // detection must see fault activity): the table covers the last
     // simulated iteration.
-    faultReport(s, topo, comm, ", last simulated iteration", nullptr);
+    printFaults(s, topo, comm, ", last simulated iteration");
     comm.publishTelemetry();
 
     RunReport report("iterations");
@@ -360,20 +361,20 @@ runIterations(Session& s)
     report.setInfo("model", o.model);
     report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
     report.setInfo("run", runLabel(o));
-    setNumbers(report,
-               {{"iterations", r.iterations},
-                {"simulated_iterations", r.simulated_iterations},
-                {"replayed_iterations", r.replayed_iterations},
-                {"cycle_length", r.cycle_length},
-                {"steady_at", r.steady_at},
-                {"total_ns", r.total.total},
-                {"iteration_ns", r.last.total},
-                {"utilization", r.utilization},
-                {"collectives", static_cast<double>(r.collectives)},
-                {"chunk_ops", static_cast<double>(r.ops)},
-                {"wall_ms", wall_ms},
-                {"plan_cache_plans", static_cast<double>(cache.planCount())}});
-    faultReport(s, topo, comm, "", &report);
+    report.setNumber("iterations", r.iterations);
+    report.setNumber("simulated_iterations", r.simulated_iterations);
+    report.setNumber("replayed_iterations", r.replayed_iterations);
+    report.setNumber("cycle_length", r.cycle_length);
+    report.setNumber("steady_at", r.steady_at);
+    report.setNumber("total_ns", r.total.total);
+    report.setNumber("iteration_ns", r.last.total);
+    report.setNumber("utilization", r.utilization);
+    report.setNumber("collectives", static_cast<double>(r.collectives));
+    report.setNumber("chunk_ops", static_cast<double>(r.ops));
+    report.setNumber("wall_ms", wall_ms);
+    report.setNumber("plan_cache_plans",
+                     static_cast<double>(cache.planCount()));
+    reportFaults(report, s, topo, comm);
     s.finish(report);
     return 0;
 }
@@ -442,6 +443,7 @@ runJobs(Session& s)
             converge(o, clusterIterations(o), [&](auto& copts) {
                 return cl.runConverged(copts, offsets);
             });
+        std::printf("\n");
         jobReport(cl.lockstepJobStats(r.iterations), report, &r,
                   plan.cadences);
         std::printf("\n  cycle replay  : hyper-period %d round(s), cycle %s, "
@@ -454,18 +456,17 @@ runJobs(Session& s)
         printSteadyState(r, o, true);
         if (!r.replay_refusal.empty())
             std::printf("  replay refused: %s\n", r.replay_refusal.c_str());
-        faultReport(s, topo, cl.runtime(), ", last simulated round",
-                    nullptr);
+        printFaults(s, topo, cl.runtime(), ", last simulated round");
         cl.runtime().publishTelemetry();
         report.setInfo("run", runLabel(o));
-        setNumbers(report, {{"rounds", r.iterations},
-                            {"simulated_rounds", r.simulated_iterations},
-                            {"replayed_rounds", r.replayed_iterations},
-                            {"cycle_length", r.cycle_length},
-                            {"hyper_period", r.hyper_period},
-                            {"total_ns", r.total.total},
-                            {"utilization", r.utilization},
-                            {"wall_ms", wall_ms}});
+        report.setNumber("rounds", r.iterations);
+        report.setNumber("simulated_rounds", r.simulated_iterations);
+        report.setNumber("replayed_rounds", r.replayed_iterations);
+        report.setNumber("cycle_length", r.cycle_length);
+        report.setNumber("hyper_period", r.hyper_period);
+        report.setNumber("total_ns", r.total.total);
+        report.setNumber("utilization", r.utilization);
+        report.setNumber("wall_ms", wall_ms);
     } else {
         const auto rep = cl.run();
         jobReport(rep.jobs, report);
@@ -485,13 +486,13 @@ runJobs(Session& s)
         std::printf("  replay        : %s\n",
                     elig.eligible ? "eligible (lockstep training mix)"
                                   : elig.reason.c_str());
-        faultReport(s, topo, cl.runtime(), "", nullptr);
+        printFaults(s, topo, cl.runtime(), "");
         report.setInfo("run", "free-running");
-        setNumbers(report, {{"makespan_ns", rep.makespan},
-                            {"fabric_utilization", rep.fabric_utilization},
-                            {"total_bytes", rep.total_bytes}});
+        report.setNumber("makespan_ns", rep.makespan);
+        report.setNumber("fabric_utilization", rep.fabric_utilization);
+        report.setNumber("total_bytes", rep.total_bytes);
     }
-    faultReport(s, topo, cl.runtime(), "", &report);
+    reportFaults(report, s, topo, cl.runtime());
     s.finish(report);
     return 0;
 }
@@ -585,11 +586,11 @@ runPriority(Session& s)
                 fmtTime(solo_lo.lo_mean).c_str());
     report.setInfo("topology", topo.name());
     report.setInfo("policy", pcfg.priority.describe());
-    setNumbers(report, {{"contended_makespan_ns", both.makespan},
-                        {"urgent_mean_ns", both.hi_mean},
-                        {"urgent_solo_ns", solo_hi.hi_mean},
-                        {"bulk_mean_ns", both.lo_mean},
-                        {"bulk_solo_ns", solo_lo.lo_mean}});
+    report.setNumber("contended_makespan_ns", both.makespan);
+    report.setNumber("urgent_mean_ns", both.hi_mean);
+    report.setNumber("urgent_solo_ns", solo_hi.hi_mean);
+    report.setNumber("bulk_mean_ns", both.lo_mean);
+    report.setNumber("bulk_solo_ns", solo_lo.lo_mean);
     s.finish(report);
     return 0;
 }

@@ -149,6 +149,12 @@ TEST(CliParse, JobsIsThreadsWhenIntegerElseASpec)
     EXPECT_EQ(cluster.jobs, "train:DLRM;train:GNMT");
     EXPECT_EQ(cluster.threads, 0);
     EXPECT_EQ(cluster.mode, Mode::Jobs);
+    // Both forms together: the spec runs, the count feeds its workers.
+    const app::Options both = parseArgs(
+        {"--jobs", "train:DLRM", "--jobs", "2", "--offset-search"});
+    EXPECT_EQ(both.jobs, "train:DLRM");
+    EXPECT_EQ(both.threads, 2);
+    EXPECT_EQ(both.mode, Mode::Jobs);
     // A thread count alone selects no mode, and single runs no workers.
     EXPECT_TRUE(contains(usageError({"--jobs", "4"}),
                          "--jobs does not apply to the single mode"));
