@@ -109,6 +109,19 @@ makeRecord(std::string key, const CellOutcome& out)
     return rec;
 }
 
+/** "N plans, H hits / M misses" of the shared plan cache. */
+std::string
+planCacheSummary(const PlanCache& cache)
+{
+    const auto stats = cache.stats();
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%zu plans, %llu hits / %llu misses",
+                  cache.planCount(),
+                  static_cast<unsigned long long>(stats.plan_hits),
+                  static_cast<unsigned long long>(stats.plan_misses));
+    return buf;
+}
+
 /** Set the plan-cache numbers of a batch report. */
 void
 reportPlanCache(RunReport& report, const PlanCache& cache)
@@ -351,13 +364,10 @@ runGrid(Session& s)
                             : "");
         std::printf("\n");
     }
-    const auto cache_stats = cache.stats();
     std::printf("\n%.1f ms wall (%.1f cells/sec over %zu simulated cells); "
-                "plan cache %zu plans, %llu hits / %llu misses\n",
+                "plan cache %s\n",
                 wall_ms, static_cast<double>(pending.size()) / (wall_ms * 1e-3),
-                pending.size(), cache.planCount(),
-                static_cast<unsigned long long>(cache_stats.plan_hits),
-                static_cast<unsigned long long>(cache_stats.plan_misses));
+                pending.size(), planCacheSummary(cache).c_str());
 
     RunReport report("grid");
     const std::pair<const char*, const std::string*> infos[] = {
@@ -587,11 +597,7 @@ runServe(Session& s)
                 n_q, n_hit, n_miss, n_err, mean_hit, mean_miss);
     if (n_hit > 0 && n_miss > 0 && mean_hit > 0.0)
         std::printf(" warm_speedup=%.1fx", mean_miss / mean_hit);
-    const auto cache_stats = cache.stats();
-    std::printf("\nplan cache: %zu plans, %llu hits / %llu misses\n",
-                cache.planCount(),
-                static_cast<unsigned long long>(cache_stats.plan_hits),
-                static_cast<unsigned long long>(cache_stats.plan_misses));
+    std::printf("\nplan cache: %s\n", planCacheSummary(cache).c_str());
 
     RunReport report("serve");
     report.setInfo("results_store", o.results);

@@ -194,8 +194,8 @@ parseArgs(const std::vector<std::string>& args)
         } else if (given.back() == "--jobs" &&
                    args[i + 1].find_first_not_of("0123456789") ==
                        std::string::npos) {
-            // An all-digit --jobs keeps its historical meaning: sweep
-            // worker threads (0 = hardware concurrency), not a spec.
+            // An all-digit --jobs is a worker-thread count (0 = hardware
+            // concurrency), not a cluster spec.
             o.threads = parseCount(args[++i]).value_or(0);
         } else {
             setValue(o, *f, args[++i]);

@@ -56,7 +56,7 @@ TEST(CliParse, ReadsEveryArgumentKind)
                    "--enforce", "--replan-threshold", "0", "--adapt"});
     EXPECT_EQ(o.size, 2.5e8);
     EXPECT_EQ(o.chunks, 16);
-    EXPECT_EQ(o.type, "rs"); // case-insensitive, like the parent CLI
+    EXPECT_EQ(o.type, "rs"); // choices are case-insensitive
     EXPECT_TRUE(o.enforce);
     EXPECT_TRUE(o.adapt);
     EXPECT_EQ(o.replan_threshold, 0.0);
@@ -111,7 +111,7 @@ TEST(CliParse, EachModeFlagSelectsItsMode)
 
 TEST(CliParse, FlagsOutsideTheirModesAreRejected)
 {
-    // Each of these ran at exit 0 and silently ignored the flag.
+    // Each flag here would otherwise be read by nothing.
     const std::string trace =
         usageError({"--grid", "2D-SW_SW", "--trace", "t.json"});
     EXPECT_TRUE(contains(trace, "--trace does not apply to the grid mode"));
