@@ -576,9 +576,12 @@ DimensionEngine::advance(std::uint64_t exec_id)
         return;
     }
     const StepPlan step = a.op.steps[a.next_step];
-    const FlowClass flow = a.op.flow;
+    const double weight = a.op.flow.weight;
+    // Channel accounting is per (job, tier): job 0 — the single-
+    // workload case — maps onto the plain tier indices.
+    const int cls = accountingClass(a.op.flow);
     ++a.next_step;
-    auto do_transfer = [this, exec_id, step, flow] {
+    auto do_transfer = [this, exec_id, step, weight, cls] {
         if (faults_armed_ && link_down_) {
             // The latency phase ended under a flapped link: the wire
             // transfer cannot start. Fail the attempt on the spot (no
@@ -586,24 +589,24 @@ DimensionEngine::advance(std::uint64_t exec_id)
             failOp(exec_id, 0.0);
             return;
         }
-        // Channel accounting is per (job, tier): job 0 — the single-
-        // workload case — maps onto the plain tier indices.
         if (faults_armed_) {
             channel_.begin(
-                step.bytes, flow.weight,
-                [this, exec_id] { advance(exec_id); },
-                accountingClass(flow),
+                step.bytes, weight,
+                [this, exec_id] { advance(exec_id); }, cls,
                 [this, exec_id, step](Bytes remaining) {
                     // Bytes the failed wire step DID move get re-sent
                     // on retry; account them as lost work.
                     failOp(exec_id, step.bytes - remaining);
                 });
         } else {
-            channel_.begin(step.bytes, flow.weight,
-                           [this, exec_id] { advance(exec_id); },
-                           accountingClass(flow));
+            channel_.begin(step.bytes, weight,
+                           [this, exec_id] { advance(exec_id); }, cls);
         }
     };
+    // One latency timer per chunk-op step: the closure must stay in
+    // the event slot, or every op pays a boxing allocation.
+    static_assert(sizeof(do_transfer) <= sim::EventQueue::kInlineCapacity,
+                  "latency-timer closure no longer fits an event slot");
     if (step.latency > 0.0) {
         queue_ref_.scheduleAfter(step.latency, do_transfer);
     } else {

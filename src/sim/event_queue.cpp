@@ -26,10 +26,18 @@ constexpr std::size_t kShrinkDivisor = 8;
  *  pays for, not the global span). */
 constexpr std::size_t kWidthSample = 64;
 
-/** At or below this population a direct scan over all stored entries
- *  beats bucket hashing — and sidesteps the degenerate case where one
- *  far-future event makes every pop wrap the whole year. */
+/** At or below this population a direct scan over the occupied
+ *  buckets (found through the occupancy bits) beats the windowed walk
+ *  — and sidesteps the degenerate case where one far-future event
+ *  makes every pop wrap the whole year. */
 constexpr std::size_t kSparseScan = 4;
+
+/** Index of the lowest set bit of @p bits (nonzero). */
+std::size_t
+lowestBit(std::uint64_t bits)
+{
+    return static_cast<std::size_t>(__builtin_ctzll(bits));
+}
 
 std::size_t
 nextPow2(std::size_t v)
@@ -62,6 +70,7 @@ void
 EventQueue::calInit()
 {
     buckets_.assign(kInitialBuckets, {});
+    occupied_.assign(kInitialBuckets / 64, 0);
     width_ = kInitialWidth;
     cur_win_ = 0;
     cal_count_ = 0;
@@ -163,6 +172,7 @@ EventQueue::calPlace(std::uint32_t bucket_idx, const Entry& e)
     slot.cal_bucket = bucket_idx;
     slot.cal_pos = static_cast<std::uint32_t>(bucket.size());
     bucket.push_back(e);
+    occupied_[bucket_idx >> 6] |= std::uint64_t{1} << (bucket_idx & 63);
     ++cal_count_;
 }
 
@@ -182,6 +192,9 @@ EventQueue::calRemoveAt(std::uint32_t bucket_idx, std::size_t pos)
         moved.cal_pos = static_cast<std::uint32_t>(pos);
     }
     bucket.pop_back();
+    if (bucket.empty())
+        occupied_[bucket_idx >> 6] &=
+            ~(std::uint64_t{1} << (bucket_idx & 63));
     --cal_count_;
 }
 
@@ -239,6 +252,7 @@ EventQueue::calAdapt()
         entries.insert(entries.end(), bucket.begin(), bucket.end());
         bucket.clear();
     }
+    std::fill(occupied_.begin(), occupied_.end(), 0);
     cal_count_ = 0;
     if (entries.empty())
         return;
@@ -262,14 +276,34 @@ EventQueue::calAdapt()
 
     const std::size_t nb = nextPow2(
         std::max<std::size_t>(kInitialBuckets, entries.size()));
-    if (buckets_.size() != nb)
+    if (buckets_.size() != nb) {
         buckets_.assign(nb, {});
+        occupied_.assign(nb / 64, 0);
+    }
     for (const Entry& e : entries)
         calPlace(static_cast<std::uint32_t>(windowOf(e.when) &
                                             (nb - 1)),
                  e);
     // entries[0] is the earliest entry after the partial sort.
     cur_win_ = windowOf(entries[0].when);
+}
+
+std::size_t
+EventQueue::calNextOccupied(std::size_t from) const
+{
+    const std::size_t words = occupied_.size();
+    std::size_t w = from >> 6;
+    // Mask off the bits below @p from in its own word; a full lap
+    // revisits that word unmasked.
+    std::uint64_t bits =
+        occupied_[w] & (~std::uint64_t{0} << (from & 63));
+    for (std::size_t n = 0; n <= words; ++n) {
+        if (bits != 0)
+            return (w << 6) + lowestBit(bits);
+        w = w + 1 == words ? 0 : w + 1;
+        bits = occupied_[w];
+    }
+    THEMIS_PANIC("calendar occupancy bits out of sync");
 }
 
 bool
@@ -289,16 +323,21 @@ EventQueue::calPeek(Entry& out)
         Entry best{0.0, 0, 0, 0};
         std::uint32_t fb = 0;
         std::size_t fp = 0;
-        for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-            const auto& bucket = buckets_[b];
-            for (std::size_t i = 0; i < bucket.size(); ++i) {
-                const Entry& e = bucket[i];
-                if (!found || e.when < best.when ||
-                    (e.when == best.when && e.seq < best.seq)) {
-                    best = e;
-                    fb = b;
-                    fp = i;
-                    found = true;
+        for (std::size_t w = 0; w < occupied_.size(); ++w) {
+            for (std::uint64_t bits = occupied_[w]; bits != 0;
+                 bits &= bits - 1) {
+                const auto b =
+                    static_cast<std::uint32_t>((w << 6) + lowestBit(bits));
+                const auto& bucket = buckets_[b];
+                for (std::size_t i = 0; i < bucket.size(); ++i) {
+                    const Entry& e = bucket[i];
+                    if (!found || e.when < best.when ||
+                        (e.when == best.when && e.seq < best.seq)) {
+                        best = e;
+                        fb = b;
+                        fp = i;
+                        found = true;
+                    }
                 }
             }
         }
@@ -315,6 +354,23 @@ EventQueue::calPeek(Entry& out)
         // calJumpToMin can re-bucket mid-scan; re-derive the mask.
         const std::size_t mask = buckets_.size() - 1;
         const auto& bucket = buckets_[cur_win_ & mask];
+        if (bucket.empty()) {
+            // Jump to the next occupied bucket, counting each skipped
+            // one toward the year-wrap limit exactly as visiting it
+            // would.
+            const std::size_t skip =
+                (calNextOccupied(cur_win_ & mask) - (cur_win_ & mask)) &
+                mask;
+            if (scanned + skip > buckets_.size()) {
+                if (!calJumpToMin())
+                    return false;
+                scanned = 0; // cur_win_ now holds a live entry's window
+                continue;
+            }
+            cur_win_ += skip;
+            scanned += skip;
+            continue;
+        }
         bool found = false;
         std::size_t pos = 0;
         for (std::size_t i = 0; i < bucket.size(); ++i) {

@@ -23,7 +23,8 @@
  *    monotone pop pattern of a simulation advances bucket by bucket,
  *    making schedule/pop amortized O(1). Bucket count and width
  *    re-adapt to the live event population, so bursty horizons and
- *    long idle gaps stay cheap.
+ *    long idle gaps stay cheap, and an occupancy bit per bucket lets
+ *    a pop skip empty buckets without touching them.
  *  - Heap: the classic binary heap, O(log n) per pop. Kept selectable
  *    so benches can measure the calendar front end against it in the
  *    same binary.
@@ -290,6 +291,11 @@ class EventQueue
     bool calJumpToMin();
     /** Re-derive bucket count and width from the live population. */
     void calAdapt();
+    /**
+     * First occupied bucket at or after @p from, wrapping around the
+     * year (requires cal_count_ > 0).
+     */
+    std::size_t calNextOccupied(std::size_t from) const;
     void calInit();
 
     // Heap front end.
@@ -305,6 +311,13 @@ class EventQueue
     std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
 
     std::vector<std::vector<Entry>> buckets_;
+    /**
+     * One bit per bucket, set while the bucket holds an entry: the
+     * sparse peek visits only occupied buckets and the dense scan
+     * jumps straight over empty ones. buckets_.size() is a power of
+     * two >= 64, so the words cover it exactly.
+     */
+    std::vector<std::uint64_t> occupied_;
     double width_ = 100.0;
     std::uint64_t cur_win_ = 0;   ///< window index being scanned
     /** Stored (live) entries: cancel() removes calendar entries

@@ -76,18 +76,39 @@ double
 SharedChannel::virtualRate() const
 {
     // Egalitarian keeps the literal pre-priority expression; Weighted
-    // with all-unit weights has weight_sum_ == active_.size() exactly
+    // with all-unit weights has weight_sum_ == active_count_ exactly
     // (sums of 1.0 are integers), so the two branches divide by the
     // same double and stay bit-identical.
     if (fairness_ == ChannelFairness::Egalitarian)
-        return capacity_ / static_cast<double>(active_.size());
+        return capacity_ / static_cast<double>(active_count_);
     return capacity_ / weight_sum_;
 }
 
-SharedChannel::ClassState&
-SharedChannel::classState(int cls)
+std::uint32_t
+SharedChannel::allocSlot()
 {
-    return classes_[cls];
+    if (free_head_ != kNoSlot) {
+        const std::uint32_t idx = free_head_;
+        free_head_ = slots_[idx].next_free;
+        slots_[idx].next_free = kNoSlot;
+        return idx;
+    }
+    THEMIS_ASSERT(slots_.size() < kNoSlot, "transfer slab exhausted");
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+std::uint32_t
+SharedChannel::liveSlot(TransferId id) const
+{
+    const std::uint64_t high = id >> 32;
+    if (high == 0 || high > slots_.size())
+        return kNoSlot;
+    const auto idx = static_cast<std::uint32_t>(high - 1);
+    const Transfer& t = slots_[idx];
+    if (!t.live || t.generation != static_cast<std::uint32_t>(id))
+        return kNoSlot; // drained/aborted (or slot since recycled)
+    return idx;
 }
 
 int
@@ -160,7 +181,16 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
                   "egalitarian channel requires unit weights, got "
                       << weight);
     advanceTo(queue_.now());
-    const TransferId id = next_id_++;
+    const std::uint32_t idx = allocSlot();
+    Transfer& t = slots_[idx];
+    ClassState& cs = classes_[priority_class];
+    t.on_done = std::move(on_done);
+    t.on_fail = std::move(on_fail);
+    t.weight = weight;
+    t.cls_state = &cs;
+    t.live = true;
+    const std::uint32_t generation = t.generation;
+    ++active_count_;
     // Weight scales the virtual service demand: a weight-w transfer
     // drains when the unit-weight clock has advanced bytes/w (it
     // receives w bytes per virtual byte). Unit weight — the common
@@ -168,26 +198,32 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     // preserve the egalitarian finish points.
     const double v_end =
         vtime_ + (weight == 1.0 ? bytes : bytes / weight);
-    active_.emplace(id, Transfer{std::move(on_done), weight,
-                                 priority_class, std::move(on_fail)});
     weight_sum_ += weight;
-    ClassState& cs = classState(priority_class);
     cs.weight_sum += weight;
     if (cs.active == 0)
-        busy_classes_.push_back(priority_class);
+        busy_classes_.push_back(&cs);
     ++cs.active;
-    heapPush(FinishEntry{v_end, id});
-    if (active_.size() > peak_active_)
-        peak_active_ = active_.size();
+    heapPush(FinishEntry{v_end, next_seq_++, idx, generation});
+    if (active_count_ > peak_active_)
+        peak_active_ = active_count_;
     reschedule();
-    return id;
+    return (static_cast<TransferId>(idx) + 1) << 32 | generation;
 }
 
 void
-SharedChannel::dropWeight(const Transfer& t)
+SharedChannel::release(std::uint32_t slot)
 {
+    Transfer& t = slots_[slot];
+    ClassState& cs = *t.cls_state;
+    t.on_done = nullptr;
+    t.on_fail = nullptr;
+    t.cls_state = nullptr;
+    t.live = false;
+    ++t.generation; // stale ids and heap entries now miss
+    t.next_free = free_head_;
+    free_head_ = slot;
+    --active_count_;
     weight_sum_ -= t.weight;
-    ClassState& cs = classState(t.cls);
     cs.weight_sum -= t.weight;
     THEMIS_ASSERT(cs.active > 0, "class active count out of sync");
     --cs.active;
@@ -196,21 +232,21 @@ SharedChannel::dropWeight(const Transfer& t)
         // Swap-remove from the busy list; per-class accumulators are
         // independent, so the resulting order cannot affect values.
         for (std::size_t i = 0; i < busy_classes_.size(); ++i) {
-            if (busy_classes_[i] == t.cls) {
+            if (busy_classes_[i] == &cs) {
                 busy_classes_[i] = busy_classes_.back();
                 busy_classes_.pop_back();
                 break;
             }
         }
     }
-    if (active_.empty())
+    if (active_count_ == 0)
         weight_sum_ = 0.0; // shed fp drift at channel quiesce points
 }
 
 void
 SharedChannel::epochReset()
 {
-    THEMIS_ASSERT(active_.empty(),
+    THEMIS_ASSERT(active_count_ == 0,
                   "epoch reset with transfers in flight");
     // Any recorded completion event is stale by construction (an idle
     // channel schedules nothing), and the caller has just rebased the
@@ -235,15 +271,13 @@ void
 SharedChannel::abort(TransferId id)
 {
     advanceTo(queue_.now());
-    auto it = active_.find(id);
-    if (it == active_.end())
+    const std::uint32_t slot = liveSlot(id);
+    if (slot == kNoSlot)
         return;
     // The partial service received so far stays in progressed_bytes_;
     // only the untransferred remainder vanishes with the transfer. The
     // heap entry is discarded lazily by dropStaleTop().
-    const Transfer t = std::move(it->second);
-    active_.erase(it);
-    dropWeight(t);
+    release(slot);
     reschedule();
 }
 
@@ -291,36 +325,36 @@ std::size_t
 SharedChannel::failActive()
 {
     advanceTo(queue_.now());
-    if (active_.empty())
+    if (active_count_ == 0)
         return 0;
     // The finish points live only in the heap; collect the live ones
     // (skipping aborted leftovers) so each failure can report its
     // untransferred remainder.
     std::vector<std::pair<FailCallback, Bytes>> failed;
-    failed.reserve(active_.size());
-    std::vector<std::pair<TransferId, double>> live;
-    live.reserve(active_.size());
+    failed.reserve(active_count_);
+    std::vector<FinishEntry> live;
+    live.reserve(active_count_);
     for (const FinishEntry& entry : finish_heap_)
-        if (active_.find(entry.id) != active_.end())
-            live.emplace_back(entry.id, entry.v_end);
-    THEMIS_ASSERT(live.size() == active_.size(),
+        if (entryLive(entry))
+            live.push_back(entry);
+    THEMIS_ASSERT(live.size() == active_count_,
                   "finish heap lost a live transfer");
-    // Fail in begin order (ids are monotonic), mirroring the drain
-    // callback order.
-    std::sort(live.begin(), live.end());
-    for (const auto& [id, v_end] : live) {
-        auto it = active_.find(id);
-        Transfer t = std::move(it->second);
-        THEMIS_ASSERT(t.on_fail,
-                      "failActive: transfer " << id
-                                              << " has no fail handler");
+    // Fail in begin order, mirroring the drain callback order.
+    std::sort(live.begin(), live.end(),
+              [](const FinishEntry& a, const FinishEntry& b) {
+                  return a.seq < b.seq;
+              });
+    for (const FinishEntry& entry : live) {
+        Transfer& t = slots_[entry.slot];
+        THEMIS_ASSERT(t.on_fail, "failActive: transfer #"
+                                     << entry.seq
+                                     << " has no fail handler");
         // Like abort(): the service received so far stays in the
         // progress accounts; only the remainder is lost.
-        const double residual = (v_end - vtime_) * t.weight;
+        const double residual = (entry.v_end - vtime_) * t.weight;
         const Bytes remaining = residual > 0.0 ? residual : 0.0;
-        active_.erase(it);
-        dropWeight(t);
         failed.emplace_back(std::move(t.on_fail), remaining);
+        release(entry.slot);
     }
     finish_heap_.clear();
     if (pending_event_ != 0) {
@@ -331,7 +365,7 @@ SharedChannel::failActive()
         cb(remaining);
     // Failure handlers may have begun fresh transfers (each begin()
     // reschedules); make sure survivors have a completion queued.
-    if (pending_event_ == 0 && !active_.empty())
+    if (pending_event_ == 0 && active_count_ != 0)
         reschedule();
     return failed.size();
 }
@@ -344,7 +378,7 @@ SharedChannel::advanceTo(TimeNs t)
                                                    << last_update_);
     const TimeNs dt = t - last_update_;
     last_update_ = t;
-    if (dt <= 0.0 || active_.empty())
+    if (dt <= 0.0 || active_count_ == 0)
         return;
     // Weighted fluid service: every active transfer receives
     // capacity * w / weight_sum, so the unit-weight virtual clock
@@ -360,10 +394,9 @@ SharedChannel::advanceTo(TimeNs t)
     // capacity * W_c / weight_sum = rate * W_c bytes per ns. (In
     // egalitarian mode all weights are 1, so W_c is the class's
     // active count and rate is capacity/n — the same formula.)
-    for (const int cls : busy_classes_) {
-        ClassState& cs = classes_.find(cls)->second;
-        cs.progressed += rate * cs.weight_sum * dt;
-        cs.busy += dt;
+    for (ClassState* cs : busy_classes_) {
+        cs->progressed += rate * cs->weight_sum * dt;
+        cs->busy += dt;
     }
     maybeRebase();
 }
@@ -371,8 +404,7 @@ SharedChannel::advanceTo(TimeNs t)
 bool
 SharedChannel::dropStaleTop()
 {
-    while (!finish_heap_.empty() &&
-           active_.find(finish_heap_.front().id) == active_.end())
+    while (!finish_heap_.empty() && !entryLive(finish_heap_.front()))
         heapPop(); // aborted; discard lazily
     return !finish_heap_.empty();
 }
@@ -424,32 +456,33 @@ SharedChannel::onCompletionEvent()
     // advanceTo attributed (vtime_ - v_start) * weight to it, so the
     // weight-scaled residual (v_end - vtime_) * weight (positive for
     // a force-drained sliver, negative for ulp overshoot) closes the
-    // books — conservation is exact per class and in aggregate.
-    std::vector<std::pair<TransferId, Callback>> done;
+    // books — conservation is exact per class and in aggregate. The
+    // drain buffer is a reused member, stolen for the duration so the
+    // steady state allocates nothing.
+    std::vector<Drained> done = std::move(drained_);
+    done.clear();
     while (dropStaleTop() && finish_heap_.front().v_end <= threshold) {
         const FinishEntry entry = finish_heap_.front();
         heapPop();
-        auto it = active_.find(entry.id);
-        const double residual =
-            (entry.v_end - vtime_) * it->second.weight;
+        Transfer& t = slots_[entry.slot];
+        const double residual = (entry.v_end - vtime_) * t.weight;
         progressed_bytes_ += residual;
-        classState(it->second.cls).progressed += residual;
-        done.emplace_back(entry.id, std::move(it->second.on_done));
-        const Transfer t{nullptr, it->second.weight, it->second.cls,
-                         nullptr};
-        active_.erase(it);
-        dropWeight(t);
+        t.cls_state->progressed += residual;
+        done.push_back(Drained{entry.seq, std::move(t.on_done)});
+        release(entry.slot);
     }
     THEMIS_ASSERT(!done.empty(),
                   "completion event fired with nothing drained");
-    // Callbacks run in begin order (ids are monotonic), matching the
-    // historical id-ordered drain scan.
+    // Callbacks run in begin order, matching the historical
+    // id-ordered drain scan.
     std::sort(done.begin(), done.end(),
-              [](const auto& a, const auto& b) {
-                  return a.first < b.first;
+              [](const Drained& a, const Drained& b) {
+                  return a.seq < b.seq;
               });
-    for (auto& [id, cb] : done)
-        cb();
+    for (Drained& d : done)
+        d.on_done();
+    done.clear();
+    drained_ = std::move(done);
     // Callbacks may have begun new transfers (each begin() already
     // rescheduled); make sure a completion is queued for survivors.
     if (pending_event_ == 0)

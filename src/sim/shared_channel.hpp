@@ -79,7 +79,11 @@ enum class ChannelFairness {
 class SharedChannel
 {
   public:
-    /** Handle for an in-flight transfer. 0 is never issued. */
+    /**
+     * Handle for an in-flight transfer: (slot+1) in the high 32 bits,
+     * slot generation in the low 32, like EventQueue::EventId. 0 is
+     * never issued, and a stale id never reaches a slot's successor.
+     */
     using TransferId = std::uint64_t;
 
     /** Invoked (at completion time) when a transfer's bytes drain. */
@@ -148,7 +152,7 @@ class SharedChannel
     std::size_t failActive();
 
     /** Number of currently active transfers. */
-    std::size_t activeCount() const { return active_.size(); }
+    std::size_t activeCount() const { return active_count_; }
 
     /** Configured capacity (bytes/ns). */
     Bandwidth capacity() const { return capacity_; }
@@ -207,10 +211,10 @@ class SharedChannel
      * progress accumulator, and drop stale heap entries. Requires an
      * idle channel (asserts no active transfers). After this call the
      * channel's dynamic state is identical to a freshly constructed
-     * one except for next_id_ and peak_active_, neither of which
-     * influences transfer timing — which is what makes steady-state
-     * training iterations bit-identical and the per-epoch progressed
-     * byte counters bit-stable across iterations.
+     * one except for the transfer slab, next_seq_ and peak_active_,
+     * none of which influences transfer timing — which is what makes
+     * steady-state training iterations bit-identical and the
+     * per-epoch progressed byte counters bit-stable across iterations.
      */
     void epochReset();
 
@@ -223,20 +227,6 @@ class SharedChannel
                         const std::string& prefix) const;
 
   private:
-    /**
-     * Map payload for a live transfer: presence in active_ is the
-     * liveness test for heap entries, so this is the callback plus
-     * the flow parameters needed to settle its accounts — the finish
-     * point lives solely in the heap's FinishEntry.
-     */
-    struct Transfer
-    {
-        Callback on_done;
-        double weight = 1.0;
-        int cls = 0;
-        FailCallback on_fail; ///< set when the caller can retry
-    };
-
     /** Per-class aggregates; index = priority class. */
     struct ClassState
     {
@@ -246,11 +236,37 @@ class SharedChannel
         TimeNs busy = 0.0;
     };
 
-    /** Min-heap entry; ties in v_end break by id (= begin order). */
+    /**
+     * One pooled transfer. `live` marks an occupied slot; freed slots
+     * chain through `next_free` and bump `generation`, so stale ids
+     * and heap entries from a previous tenant miss. The finish point
+     * lives solely in the heap's FinishEntry; the slot holds the
+     * callbacks plus the flow parameters needed to settle accounts.
+     * `cls_state` points into classes_ (unordered_map nodes never
+     * move, and retireClass() requires an idle class).
+     */
+    struct Transfer
+    {
+        Callback on_done;
+        FailCallback on_fail; ///< set when the caller can retry
+        double weight = 1.0;
+        ClassState* cls_state = nullptr;
+        std::uint32_t generation = 0;
+        std::uint32_t next_free = kNoSlot;
+        bool live = false;
+    };
+
+    /**
+     * Min-heap entry; ties in v_end break by seq (= begin order).
+     * (slot, generation) names the transfer; a mismatched generation
+     * marks an aborted (stale) entry.
+     */
     struct FinishEntry
     {
         double v_end;
-        TransferId id;
+        std::uint64_t seq;
+        std::uint32_t slot;
+        std::uint32_t generation;
     };
 
     struct FinishLater
@@ -260,13 +276,29 @@ class SharedChannel
         {
             if (a.v_end != b.v_end)
                 return a.v_end > b.v_end;
-            return a.id > b.id;
+            return a.seq > b.seq;
         }
     };
+
+    /** A drained transfer's callback, keyed by begin order. */
+    struct Drained
+    {
+        std::uint64_t seq;
+        Callback on_done;
+    };
+
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
     void advanceTo(TimeNs t);
     void reschedule();
     void onCompletionEvent();
+    /** True when @p e names a transfer that is still in flight. */
+    bool
+    entryLive(const FinishEntry& e) const
+    {
+        const Transfer& t = slots_[e.slot];
+        return t.live && t.generation == e.generation;
+    }
     /** Drop aborted entries off the heap top; true if a live one remains. */
     bool dropStaleTop();
     /** Shift vtime_ (and all finish points) back toward zero. */
@@ -277,16 +309,21 @@ class SharedChannel
     void heapPop();
     /** Virtual-time rate capacity / total weight (egalitarian: /n). */
     double virtualRate() const;
-    ClassState& classState(int cls);
-    /** Remove one transfer's weight from the aggregates. */
-    void dropWeight(const Transfer& t);
+    /** Slot of the live transfer named by @p id, or kNoSlot. */
+    std::uint32_t liveSlot(TransferId id) const;
+    std::uint32_t allocSlot();
+    /** Drop the callbacks, free the slot, remove its weight. */
+    void release(std::uint32_t slot);
 
     EventQueue& queue_;
     Bandwidth capacity_;
     ChannelFairness fairness_;
-    std::unordered_map<TransferId, Transfer> active_;
+    /** Transfer slab; steady state recycles slots, never allocates. */
+    std::vector<Transfer> slots_;
+    std::uint32_t free_head_ = kNoSlot;
+    std::size_t active_count_ = 0;
     /**
-     * Min-heap on (v_end, id) via std::push_heap/pop_heap — a
+     * Min-heap on (v_end, seq) via std::push_heap/pop_heap — a
      * contiguous buffer so virtual-time rebasing can shift every
      * pending finish point in one batch. Inline small-vector: a
      * dimension rarely carries more than a handful of concurrent
@@ -313,8 +350,10 @@ class SharedChannel
      * independently, so the (insertion) order of this list cannot
      * affect any accounted value.
      */
-    SmallVector<int, 8> busy_classes_;
-    TransferId next_id_ = 1;
+    SmallVector<ClassState*, 8> busy_classes_;
+    /** Reused by onCompletionEvent(): drained callbacks to invoke. */
+    std::vector<Drained> drained_;
+    std::uint64_t next_seq_ = 1;
     TimeNs last_update_ = 0.0;
     EventQueue::EventId pending_event_ = 0;
     Bytes progressed_bytes_ = 0.0;

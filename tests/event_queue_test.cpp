@@ -308,6 +308,45 @@ TEST(EventQueue, FrontEndsAgreeOnRandomizedWorkload)
     const auto heap = traceOf(EventFrontEnd::Heap, drive);
     EXPECT_EQ(cal, heap);
     EXPECT_FALSE(cal.empty());
+
+    // A population swinging between 1 and ~300 pending: each wave
+    // fans a lone event out to 360 (every sixth cancelled) over a
+    // spread that alternates by three orders of magnitude, then
+    // drains back to the lone next-wave event. The calendar grows,
+    // shrinks and re-fits its width every wave, so its occupancy bits
+    // are rebuilt at both bucket counts and both scan paths run.
+    auto swing = [](EventQueue& q,
+                    std::vector<std::pair<TimeNs, int>>& trace) {
+        std::uint64_t state = 7;
+        auto next = [&state] {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            return state >> 33;
+        };
+        std::function<void(int)> wave = [&](int w) {
+            trace.emplace_back(q.now(), -1 - w);
+            if (w >= 8)
+                return;
+            const double spread = w % 2 == 0 ? 50.0 : 5.0e4;
+            std::vector<EventQueue::EventId> ids;
+            for (int i = 0; i < 360; ++i) {
+                const int marker = w * 1000 + i;
+                ids.push_back(q.scheduleAfter(
+                    static_cast<double>(next() % 1000) * spread / 1000.0,
+                    [&trace, &q, marker] {
+                        trace.emplace_back(q.now(), marker);
+                    }));
+            }
+            for (std::size_t i = 0; i < ids.size(); i += 6)
+                q.cancel(ids[i]);
+            q.scheduleAfter(2.0 * spread, [&wave, w] { wave(w + 1); });
+        };
+        q.schedule(0.0, [&wave] { wave(0); });
+        q.run();
+    };
+    const auto cal_swing = traceOf(EventFrontEnd::Calendar, swing);
+    const auto heap_swing = traceOf(EventFrontEnd::Heap, swing);
+    EXPECT_EQ(cal_swing, heap_swing);
+    EXPECT_EQ(cal_swing.size(), 9u + 8u * 300u);
 }
 
 TEST(EventQueue, FrontEndsAgreeWithHandlerRescheduling)

@@ -287,6 +287,32 @@ TEST(SharedChannel, AbortAfterCompletionIsNoop)
     EXPECT_EQ(ch.activeCount(), 0u);
 }
 
+TEST(SharedChannel, StaleIdCannotAbortSlotSuccessor)
+{
+    // Transfers live in a slab of recycled slots; the id of a drained
+    // transfer must miss the transfer that reuses its slot
+    // (generation tag).
+    EventQueue q;
+    SharedChannel ch(q, 100.0);
+    SharedChannel::TransferId id_first = 0, id_successor = 0;
+    TimeNs t_successor = -1.0, t_long = -1.0;
+    id_first = ch.begin(1.0e6, [&] {
+        id_successor = ch.begin(1.0e6, [&] { t_successor = q.now(); });
+    });
+    ch.begin(3.0e6, [&] { t_long = q.now(); });
+    q.schedule(3.0e4, [&] {
+        EXPECT_NE(id_first, id_successor);
+        ch.abort(id_first); // drained: must be a no-op
+        EXPECT_EQ(ch.activeCount(), 2u);
+    });
+    q.run();
+    // Halves until the first 1MB drains at 20us. The successor's 1MB
+    // and the long transfer's remaining 2MB then share: successor
+    // +20us = 40us, the long one's last 1MB alone at 50us.
+    EXPECT_DOUBLE_EQ(t_successor, 4.0e4);
+    EXPECT_DOUBLE_EQ(t_long, 5.0e4);
+}
+
 TEST(SharedChannel, PeakActiveCountTracksHighWaterMark)
 {
     EventQueue q;
