@@ -23,13 +23,6 @@ pickNextOp(IntraDimPolicy policy, const std::vector<QueuedOpView>& queue)
         const auto& a = queue[i];
         const auto& b = queue[best];
         bool better = false;
-        // Higher flow-class tiers select first; the policy orders
-        // within a tier (core/priority_policy.hpp).
-        if (a.tier != b.tier) {
-            if (a.tier > b.tier)
-                best = i;
-            continue;
-        }
         switch (policy) {
           case IntraDimPolicy::Fifo:
             better = a.arrival_seq < b.arrival_seq;

@@ -49,14 +49,6 @@ struct QueuedOpView
 
     /** Chunk id, used as the final deterministic tie-breaker. */
     int chunk_id = 0;
-
-    /**
-     * Flow-class tier (core/priority_policy.hpp). Higher tiers are
-     * selected first; the configured policy orders *within* a tier.
-     * All-equal tiers (the uniform-policy default) reduce to the
-     * plain policy order.
-     */
-    int tier = 0;
 };
 
 /**

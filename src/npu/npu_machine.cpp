@@ -227,7 +227,7 @@ class Simulation
 
     /** Queue slot to start next, or npos. */
     std::size_t
-    selectNext(int npu, int dim)
+    nextQueuedSlot(int npu, int dim)
     {
         Engine& engine = engineAt(npu, dim);
         if (engine.queued.empty())
@@ -274,7 +274,7 @@ class Simulation
     {
         while (true) {
             Engine& engine = engineAt(npu, dim);
-            const std::size_t slot = selectNext(npu, dim);
+            const std::size_t slot = nextQueuedSlot(npu, dim);
             if (slot == static_cast<std::size_t>(-1))
                 return;
             if (!admissionAllows(engine))

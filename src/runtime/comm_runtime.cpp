@@ -43,10 +43,6 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
     : queue_ref_(queue), topo_(std::move(topo)), config_(config),
       activity_(topo_.numDims())
 {
-    THEMIS_ASSERT(!config_.legacy_egalitarian_channel ||
-                      config_.priority.isUniform(),
-                  "the egalitarian channel baseline requires the "
-                  "uniform priority policy (unit weights)");
     telem_ = config_.telemetry;
     if (telem_ != nullptr) {
         // Resolve the hot-path instruments once; registry references
@@ -65,18 +61,12 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
         m_fatal_ = &m.counter("fault.fatal_retries");
         m_replayed_ = &m.counter("replay.epochs_replayed");
     }
-    const sim::ChannelFairness fairness =
-        config_.legacy_egalitarian_channel
-            ? sim::ChannelFairness::Egalitarian
-            : sim::ChannelFairness::Weighted;
     std::vector<sim::SharedChannel*> channels;
     std::vector<Bandwidth> bws;
     for (int d = 0; d < topo_.numDims(); ++d) {
         engines_.push_back(std::make_unique<DimensionEngine>(
             queue_ref_, topo_.dim(d), d, config_.intra_policy,
-            config_.admission, config_.legacy_engine_scan, fairness,
-            config_.legacy_scalar_admission,
-            config_.legacy_tier_blind_headroom));
+            config_.admission));
         engines_.back()->setPresenceListener(
             [this](int dim, bool present, TimeNs when) {
                 activity_.onPresence(dim, present, when);
@@ -87,10 +77,6 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
     utilization_ = std::make_unique<stats::UtilizationTracker>(
         std::move(channels), std::move(bws));
     if (config_.faults != nullptr) {
-        if (config_.legacy_engine_scan)
-            THEMIS_FATAL("fault injection requires the indexed engine "
-                         "path; legacy_engine_scan is a measurement "
-                         "baseline");
         config_.faults->validateForDims(topo_.numDims());
         std::vector<DimensionEngine*> raw;
         raw.reserve(engines_.size());
@@ -704,13 +690,7 @@ CommRuntime::shadowPlanOrders(CollectiveType type,
         }
         shadow_engines.push_back(std::make_unique<DimensionEngine>(
             shadow_queue, std::move(shadow_dim),
-            scope[local].dim, config_.intra_policy, config_.admission,
-            config_.legacy_engine_scan,
-            config_.legacy_egalitarian_channel
-                ? sim::ChannelFairness::Egalitarian
-                : sim::ChannelFairness::Weighted,
-            config_.legacy_scalar_admission,
-            config_.legacy_tier_blind_headroom));
+            scope[local].dim, config_.intra_policy, config_.admission));
         auto* bucket = &orders[local];
         shadow_engines.back()->setStartListener(
             [bucket](const OpTag& tag) {

@@ -119,13 +119,6 @@ struct RuntimeConfig
     PlanCache* plan_cache = nullptr;
 
     /**
-     * Use the pre-PR O(queue) linear selection scan in the dimension
-     * engines instead of the indexed ready-set. Identical results;
-     * exists so benches can measure the optimization in one binary.
-     */
-    bool legacy_engine_scan = false;
-
-    /**
      * Maps collective priority tiers (CollectiveRequest::priority_tier)
      * to wire-level flow classes. The default uniform policy collapses
      * every tier onto one unit-weight class, reproducing the
@@ -136,29 +129,17 @@ struct RuntimeConfig
     PriorityPolicy priority{};
 
     /**
-     * Drive the shared channels with the pre-priority egalitarian
-     * equal-share arithmetic instead of weighted GPS. Requires the
-     * uniform priority policy; results are bit-identical to the
-     * weighted path with unit weights — exists so equivalence tests
-     * and benches can compare both in one binary.
+     * Retired baselines: the linear engine scan, the egalitarian
+     * channel, scalar-only admission and the tier-blind headroom.
+     * The one engine and channel reproduce each of them bit for bit,
+     * and tests pin the results they recorded. The names remain,
+     * always false, only so that code reading them still compiles;
+     * assigning one does not compile.
      */
-    bool legacy_egalitarian_channel = false;
-
-    /**
-     * Run the engines' one-op-at-a-time admission check loop instead
-     * of the batched ready-prefix pass. Identical results; exists so
-     * tests and benches can compare both in one binary.
-     */
-    bool legacy_scalar_admission = false;
-
-    /**
-     * Use the pre-PR tier-blind admission headroom check (unweighted
-     * transfer-time sum) instead of weighted service demand (see
-     * AdmissionConfig::latency_headroom). Bit-identical under uniform
-     * flow weights; exists so equivalence tests and benches can
-     * compare both in one binary.
-     */
-    bool legacy_tier_blind_headroom = false;
+    static constexpr bool legacy_engine_scan = false;
+    static constexpr bool legacy_egalitarian_channel = false;
+    static constexpr bool legacy_scalar_admission = false;
+    static constexpr bool legacy_tier_blind_headroom = false;
 
     /**
      * Fault/heterogeneity scenario to apply (capacity degradations,
@@ -166,7 +147,7 @@ struct RuntimeConfig
      * owned — the caller keeps the timeline alive for the runtime's
      * lifetime. nullptr (the default) and an *empty* timeline both
      * run the fault-free fast path bit-identically; arming alone
-     * changes no timing. Incompatible with legacy_engine_scan.
+     * changes no timing.
      */
     const sim::FaultTimeline* faults = nullptr;
 

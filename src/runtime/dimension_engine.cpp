@@ -1,6 +1,5 @@
 #include "runtime/dimension_engine.hpp"
 
-#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -10,8 +9,6 @@
 namespace themis::runtime {
 
 namespace {
-
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 /** Append a non-negative int's digits at @p p; returns one past the
  *  last digit. snprintf replacement for the per-chunk-op trace label
@@ -42,16 +39,10 @@ parkKey(const OpTag& tag)
 DimensionEngine::DimensionEngine(sim::EventQueue& queue,
                                  DimensionConfig config, int global_dim,
                                  IntraDimPolicy policy,
-                                 AdmissionConfig admission,
-                                 bool legacy_scan,
-                                 sim::ChannelFairness fairness,
-                                 bool scalar_admission,
-                                 bool tier_blind_headroom)
+                                 AdmissionConfig admission)
     : queue_ref_(queue), config_(config), global_dim_(global_dim),
-      policy_(policy), admission_(admission), legacy_scan_(legacy_scan),
-      scalar_admission_(scalar_admission),
-      tier_blind_headroom_(tier_blind_headroom),
-      channel_(queue, config.bandwidth(), fairness),
+      policy_(policy), admission_(admission),
+      channel_(queue, config.bandwidth()),
       pending_(0, std::hash<std::uint64_t>{},
                std::equal_to<std::uint64_t>{},
                ArenaAllocator<std::pair<const std::uint64_t,
@@ -66,12 +57,35 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
                      ArenaAllocator<TimeNs>(&arena_))
 {
     config_.validate();
-    THEMIS_ASSERT(admission_.max_parallel_ops >= 1,
-                  "max_parallel_ops must be >= 1");
-    THEMIS_ASSERT(admission_.latency_headroom > 0.0,
-                  "latency_headroom must be positive");
-    THEMIS_ASSERT(admission_.max_priority_bypass >= 1,
-                  "max_priority_bypass must be >= 1");
+    if (admission_.max_parallel_ops < 1)
+        THEMIS_FATAL("admission max_parallel_ops must be >= 1, got "
+                     << admission_.max_parallel_ops);
+    if (!(admission_.latency_headroom > 0.0))
+        THEMIS_FATAL("admission latency_headroom must be positive, got "
+                     << admission_.latency_headroom);
+    if (admission_.max_priority_bypass < 1)
+        THEMIS_FATAL("admission max_priority_bypass must be >= 1, got "
+                     << admission_.max_priority_bypass);
+}
+
+DimensionEngine::DimensionEngine(sim::EventQueue& queue,
+                                 DimensionConfig config, int global_dim,
+                                 IntraDimPolicy policy,
+                                 AdmissionConfig admission,
+                                 bool legacy_scan,
+                                 sim::ChannelFairness fairness,
+                                 bool scalar_admission,
+                                 bool tier_blind_headroom)
+    : DimensionEngine(queue, std::move(config), global_dim, policy,
+                      admission)
+{
+    if (legacy_scan || fairness != sim::ChannelFairness::Weighted ||
+        scalar_admission || tier_blind_headroom)
+        THEMIS_FATAL("dimension " << global_dim
+                                  << ": the legacy engine scan, "
+                                     "egalitarian channel, scalar-only "
+                                     "admission and tier-blind headroom "
+                                     "baselines are retired");
 }
 
 void
@@ -101,15 +115,6 @@ void
 DimensionEngine::setEnforcedOrder(int collective_id,
                                   std::vector<OpKey> order)
 {
-    if (legacy_scan_) {
-        enforced_[collective_id] = EnforcedOrder{std::move(order), 0, {}};
-        // Installing an order can change which queued op is eligible
-        // (normally none are queued yet — orders are installed before
-        // the session starts — but a replacement mid-flight must not
-        // leave a newly eligible op stranded).
-        tryStartLegacy();
-        return;
-    }
     // Replacing an existing order first releases its parked ops back
     // into the ready set so none are stranded; the re-scan below
     // re-parks them under the new order.
@@ -140,8 +145,8 @@ DimensionEngine::setEnforcedOrder(int collective_id,
             eo.parked.emplace(parkKey(p.op.tag), seq);
         }
     }
-    // See the legacy branch: a replacement may have made an op
-    // startable (released from the old order's parking).
+    // A replacement mid-flight may have made an op startable
+    // (released from the old order's parking).
     tryStart();
 }
 
@@ -190,9 +195,6 @@ DimensionEngine::attachTrace(stats::TraceWriter* trace)
 void
 DimensionEngine::armFaults(const RetryConfig& retry)
 {
-    THEMIS_ASSERT(!legacy_scan_,
-                  "fault injection requires the indexed engine path "
-                  "(legacy_scan is a measurement baseline)");
     if (!(retry.backoff_base_ns > 0.0))
         THEMIS_FATAL("retry backoff_base_ns must be positive, got "
                      << retry.backoff_base_ns);
@@ -272,12 +274,6 @@ DimensionEngine::enqueue(ChunkOp op)
                   "op for dim " << op.global_dim << " enqueued on dim "
                                 << global_dim_);
     const std::uint64_t seq = arrival_counter_++;
-    if (legacy_scan_) {
-        queue_.push_back(PendingOp{std::move(op), seq});
-        notifyPresence();
-        tryStartLegacy();
-        return;
-    }
     auto eit = enforced_.find(op.tag.collective_id);
     if (eit != enforced_.end()) {
         EnforcedOrder& eo = eit->second;
@@ -308,58 +304,12 @@ DimensionEngine::admissionAllows(const ChunkOp& candidate) const
     if (static_cast<int>(active_.size()) >= admission_.max_parallel_ops)
         return false;
     const TimeNs max_delay = *active_delays_.rbegin();
-    if (tier_blind_headroom_) {
-        // Pre-PR baseline: unweighted service demand (the candidate's
-        // weight is irrelevant).
-        return active_transfer_sum_ <
-               admission_.latency_headroom * max_delay;
-    }
     // Weighted service demand as the candidate sees it under GPS:
     // admit while sum_i(t_i * w_i) < headroom * max_delay * w_cand.
-    // With uniform weights both sides multiply by 1.0 — bit-identical
-    // to the tier-blind check.
+    // With uniform weights both sides multiply by 1.0 exactly.
     return active_weighted_sum_ <
            admission_.latency_headroom * max_delay *
                candidate.flow.weight;
-}
-
-std::size_t
-DimensionEngine::selectNext() const
-{
-    if (queue_.empty())
-        return kNone;
-
-    // Candidates: ops of collectives without an enforced order, plus —
-    // for each enforced collective — exactly its next expected op.
-    std::vector<std::size_t> candidates;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const auto& op = queue_[i].op;
-        const auto it = enforced_.find(op.tag.collective_id);
-        if (it == enforced_.end()) {
-            candidates.push_back(i);
-            continue;
-        }
-        const auto& eo = it->second;
-        THEMIS_ASSERT(eo.next < eo.order.size(),
-                      "enforced order exhausted but ops keep arriving");
-        const OpKey& expected = eo.order[eo.next];
-        if (op.tag.chunk_id == expected.chunk_id &&
-            op.tag.stage_index == expected.stage_index) {
-            candidates.push_back(i);
-        }
-    }
-    if (candidates.empty())
-        return kNone; // enforced head(s) not yet arrived: wait
-
-    std::vector<QueuedOpView> views;
-    views.reserve(candidates.size());
-    for (std::size_t idx : candidates) {
-        const auto& p = queue_[idx];
-        views.push_back(QueuedOpView{
-            p.arrival_seq, p.op.transfer_time + p.op.fixed_delay,
-            p.op.tag.chunk_id, p.op.flow.tier});
-    }
-    return candidates[pickNextOp(policy_, views)];
 }
 
 void
@@ -389,10 +339,6 @@ DimensionEngine::tryStart()
     // general one-op-at-a-time path. The two paths admit identical
     // prefixes by construction (the batch evaluates the same
     // check against the same running aggregates).
-    if (scalar_admission_) {
-        tryStartScalar();
-        return;
-    }
     if (ready_.empty())
         return;
     if (!enforced_.empty() ||
@@ -417,12 +363,10 @@ DimensionEngine::tryStartBatch()
     // later could change the verdict: the aggregates only grow).
     // Admit rule == scalar path: the first op of an idle engine is
     // always admitted; otherwise admit while the active count is
-    // under the hard cap and the (weighted) service demand is below
-    // headroom x largest delay (x the candidate's weight on the
-    // weight-aware path; see AdmissionConfig::latency_headroom).
-    double sum =
-        tier_blind_headroom_ ? active_transfer_sum_
-                             : active_weighted_sum_;
+    // under the hard cap and the weighted service demand is below
+    // headroom x largest delay x the candidate's weight (see
+    // AdmissionConfig::latency_headroom).
+    double sum = active_weighted_sum_;
     double max_delay =
         active_delays_.empty() ? 0.0 : *active_delays_.rbegin();
     std::size_t active_n = active_.size();
@@ -436,17 +380,13 @@ DimensionEngine::tryStartBatch()
         THEMIS_ASSERT(pit != pending_.end(),
                       "ready op missing from pending store");
         const double w = pit->second.op.flow.weight;
-        const double budget = tier_blind_headroom_
-                                  ? headroom * max_delay
-                                  : headroom * max_delay * w;
+        const double budget = headroom * max_delay * w;
         const bool admit =
             (active_n == 0) |
             ((active_n < maxpar) & (sum < budget));
         if (!admit)
             break;
-        sum += tier_blind_headroom_
-                   ? pit->second.op.transfer_time
-                   : pit->second.op.transfer_time * w;
+        sum += pit->second.op.transfer_time * w;
         max_delay = pit->second.op.fixed_delay > max_delay
                         ? pit->second.op.fixed_delay
                         : max_delay;
@@ -513,26 +453,6 @@ DimensionEngine::tryStartScalar()
 }
 
 void
-DimensionEngine::tryStartLegacy()
-{
-    while (true) {
-        const std::size_t pick = selectNext();
-        if (pick == kNone)
-            return;
-        if (!admissionAllows(queue_[pick].op))
-            return;
-        ChunkOp op = std::move(queue_[pick].op);
-        queue_.erase(queue_.begin() + static_cast<long>(pick));
-        // Advance the enforced cursor when this op was the expected
-        // head of its collective's order.
-        auto it = enforced_.find(op.tag.collective_id);
-        if (it != enforced_.end())
-            ++it->second.next;
-        startOp(std::move(op));
-    }
-}
-
-void
 DimensionEngine::startOp(ChunkOp op)
 {
     const std::uint64_t exec_id = next_exec_id_++;
@@ -557,7 +477,6 @@ DimensionEngine::startOp(ChunkOp op)
              op.entering, " B in, ", active_.size(), " active)");
     if (start_listener_)
         start_listener_(op.tag);
-    active_transfer_sum_ += op.transfer_time;
     active_weighted_sum_ += op.transfer_time * op.flow.weight;
     active_delays_.insert(op.fixed_delay);
     active_.emplace(exec_id,
@@ -622,17 +541,13 @@ DimensionEngine::finish(std::uint64_t exec_id)
     ChunkOp op = std::move(it->second.op);
     const TimeNs started_at = it->second.started_at;
     active_.erase(it);
-    active_transfer_sum_ -= op.transfer_time;
     active_weighted_sum_ -= op.transfer_time * op.flow.weight;
     const auto delay_it = active_delays_.find(op.fixed_delay);
     THEMIS_ASSERT(delay_it != active_delays_.end(),
                   "active delay aggregate out of sync");
     active_delays_.erase(delay_it);
-    if (active_.empty()) {
-        // Shed fp drift at quiesce points.
-        active_transfer_sum_ = 0.0;
-        active_weighted_sum_ = 0.0;
-    }
+    if (active_.empty())
+        active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
     ++completed_;
     if (fingerprint_ != nullptr) {
         fingerprint_->mix(std::uint64_t{0x464e}); // "FN"
@@ -667,10 +582,7 @@ DimensionEngine::finish(std::uint64_t exec_id)
     // dimension (or this one); notify first, then refill.
     op.on_complete(op);
     notifyPresence();
-    if (legacy_scan_)
-        tryStartLegacy();
-    else
-        tryStart();
+    tryStart();
 }
 
 void
@@ -686,16 +598,13 @@ DimensionEngine::failOp(std::uint64_t exec_id, Bytes lost)
         lost += a.op.steps[s].bytes;
     ChunkOp op = std::move(a.op);
     active_.erase(it);
-    active_transfer_sum_ -= op.transfer_time;
     active_weighted_sum_ -= op.transfer_time * op.flow.weight;
     const auto delay_it = active_delays_.find(op.fixed_delay);
     THEMIS_ASSERT(delay_it != active_delays_.end(),
                   "active delay aggregate out of sync");
     active_delays_.erase(delay_it);
-    if (active_.empty()) {
-        active_transfer_sum_ = 0.0;
+    if (active_.empty())
         active_weighted_sum_ = 0.0;
-    }
     ++op.attempt;
     ++retry_count_;
     lost_bytes_ += lost;

@@ -21,15 +21,9 @@
  * Selection is indexed: pending ops that are *eligible* (their
  * collective has no enforced order, or they are exactly its next
  * expected op) live in a ready-set ordered by the intra-dimension
- * policy key, so picking the next op is O(log n) instead of a linear
- * rescan of the queue per start. Ops of an enforced collective that
- * are not yet expected are parked per collective and promoted when
- * the order cursor reaches them. The pre-PR linear scan is retained
- * behind `legacy_scan` so benches can measure both paths in the same
- * binary; the two paths pick identical ops in identical order (the
- * legacy scan is tier-aware too, but implements no anti-starvation
- * aging — it is a measurement baseline, exercised with uniform
- * priorities).
+ * policy key, so picking the next op is O(log n). Ops of an enforced
+ * collective that are not yet expected are parked per collective and
+ * promoted when the order cursor reaches them.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
@@ -39,10 +33,11 @@
  * prefix in one streamed pass with the aggregates (running
  * transfer-time sum, running max delay, running active count) hoisted
  * into locals and a branch-light admit formula, instead of
- * re-querying the active multiset and map per start. The
- * one-op-at-a-time loop remains for enforced orders, mixed tiers and
- * pending bypasses, and is selectable outright (`scalar_admission`)
- * as an equivalence baseline; both paths admit identical prefixes.
+ * re-querying the active multiset and map per start. The general
+ * one-op-at-a-time loop serves enforced orders, mixed tiers and
+ * pending bypasses; both loops apply the same weighted admission rule
+ * (AdmissionConfig::latency_headroom), so they admit identical
+ * prefixes.
  *
  * Anti-starvation: tier precedence alone would let a sustained
  * high-tier stream park a low-tier op forever. The engine counts
@@ -56,7 +51,6 @@
 #define THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,6 +72,22 @@
 namespace themis::stats {
 class TraceWriter;
 } // namespace themis::stats
+
+namespace themis::sim {
+
+/**
+ * Channel sharing discipline, kept only as a parameter type of
+ * DimensionEngine's compatibility constructor. Every channel is
+ * weighted GPS; Egalitarian (the retired equal-share formulation,
+ * which weighted GPS reproduces bit for bit under unit weights) is
+ * rejected there.
+ */
+enum class ChannelFairness {
+    Weighted,
+    Egalitarian,
+};
+
+} // namespace themis::sim
 
 namespace themis::runtime {
 
@@ -106,9 +116,8 @@ struct AdmissionConfig
      * candidate of weight w_c at w_c's share, so a bulk backlog looks
      * small to an urgent candidate (admit) and an urgent burst looks
      * large to a bulk candidate (hold back). With uniform weights
-     * every w is 1.0 and the formula is bit-identical to the
-     * tier-blind sum (the pre-PR check, retained behind
-     * RuntimeConfig.legacy_tier_blind_headroom).
+     * every w is 1.0 and the rule reduces, bit for bit, to the plain
+     * sum of active transfer times.
      */
     double latency_headroom = 9.0;
 
@@ -219,28 +228,24 @@ class DimensionEngine
      * @param global_dim  index of this dimension in the full topology
      * @param policy      intra-dimension ordering policy
      * @param admission   parallel-admission tunables
-     * @param legacy_scan use the pre-PR O(queue) selection scan
-     *                    (measurement baseline; results identical)
-     * @param fairness    the shared channel's sharing discipline
-     *                    (Egalitarian is the pre-priority equal-share
-     *                    baseline; requires unit flow weights)
-     * @param scalar_admission run the one-op-at-a-time admission
-     *                    check loop instead of the batched prefix
-     *                    pass (measurement/equivalence baseline;
-     *                    results identical)
-     * @param tier_blind_headroom use the pre-PR tier-blind admission
-     *                    headroom (unweighted transfer-time sum)
-     *                    instead of weighted service demand
-     *                    (measurement/equivalence baseline; identical
-     *                    under uniform flow weights)
+     * @throws ConfigError if @p config or @p admission is invalid
      */
     DimensionEngine(sim::EventQueue& queue, DimensionConfig config,
                     int global_dim, IntraDimPolicy policy,
-                    AdmissionConfig admission, bool legacy_scan = false,
-                    sim::ChannelFairness fairness =
-                        sim::ChannelFairness::Weighted,
-                    bool scalar_admission = false,
-                    bool tier_blind_headroom = false);
+                    AdmissionConfig admission);
+
+    /**
+     * Compatibility overload for callers written against the retired
+     * baselines (linear-scan selection, egalitarian channel,
+     * scalar-only admission, tier-blind headroom). Delegates to the
+     * constructor above and throws ConfigError unless every retired
+     * argument is off: false, or ChannelFairness::Weighted.
+     */
+    DimensionEngine(sim::EventQueue& queue, DimensionConfig config,
+                    int global_dim, IntraDimPolicy policy,
+                    AdmissionConfig admission, bool legacy_scan,
+                    sim::ChannelFairness fairness, bool scalar_admission,
+                    bool tier_blind_headroom);
 
     DimensionEngine(const DimensionEngine&) = delete;
     DimensionEngine& operator=(const DimensionEngine&) = delete;
@@ -285,9 +290,9 @@ class DimensionEngine
     /**
      * Enable the fault path: transfers begun on the channel carry a
      * failure handler, and failed ops re-enter the ready set after
-     * exponential backoff per @p retry. Incompatible with the legacy
-     * scan (a measurement baseline). Arming changes no timing while
-     * no fault fires — fault-free runs stay bit-identical.
+     * exponential backoff per @p retry (ConfigError if @p retry is
+     * invalid). Arming changes no timing while no fault fires —
+     * fault-free runs stay bit-identical.
      */
     void armFaults(const RetryConfig& retry);
 
@@ -339,11 +344,7 @@ class DimensionEngine
     int globalDim() const { return global_dim_; }
 
     /** Currently queued (not yet started) op count. */
-    std::size_t
-    queuedCount() const
-    {
-        return legacy_scan_ ? queue_.size() : pending_.size();
-    }
+    std::size_t queuedCount() const { return pending_.size(); }
 
     /** Currently executing op count. */
     std::size_t activeCount() const { return active_.size(); }
@@ -419,7 +420,7 @@ class DimensionEngine
         operator()(const ReadyKey& a, const ReadyKey& b) const
         {
             // Higher flow-class tiers first; the policy orders within
-            // a tier (matches pickNextOp's tier precedence).
+            // a tier.
             if (a.tier != b.tier)
                 return a.tier > b.tier;
             if (policy == IntraDimPolicy::Scf) {
@@ -461,10 +462,7 @@ class DimensionEngine
      *  ready prefix in one pass with register-resident aggregates
      *  (single-tier, order-free fast path). */
     void tryStartBatch();
-    void tryStartLegacy();
     bool admissionAllows(const ChunkOp& candidate) const;
-    /** Queue index to start next, or npos if ordering blocks. */
-    std::size_t selectNext() const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
     void startOp(ChunkOp op);
@@ -486,9 +484,6 @@ class DimensionEngine
     int global_dim_;
     IntraDimPolicy policy_;
     AdmissionConfig admission_;
-    bool legacy_scan_;
-    bool scalar_admission_;
-    bool tier_blind_headroom_;
     sim::SharedChannel channel_;
 
     /**
@@ -499,7 +494,6 @@ class DimensionEngine
      */
     NodeArena arena_;
 
-    std::deque<PendingOp> queue_; ///< legacy-scan pending store
     /** Indexed pending store: arrival_seq -> op, plus the eligible
      *  set ordered by policy key. */
     std::unordered_map<
@@ -519,11 +513,9 @@ class DimensionEngine
              ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>>
         active_;
     /** Aggregates over active_, maintained incrementally so the
-     *  admission check is O(1) instead of rescanning the active set. */
-    TimeNs active_transfer_sum_ = 0.0;
-    /** Weight-scaled transfer-time sum (sum of transfer_i * w_i) for
-     *  the weight-aware headroom check; equals active_transfer_sum_
-     *  bit for bit when every weight is 1. */
+     *  admission check is O(1) instead of rescanning the active set:
+     *  the weight-scaled transfer-time sum (sum of transfer_i * w_i)
+     *  and the fixed delays. */
     TimeNs active_weighted_sum_ = 0.0;
     std::multiset<TimeNs, std::less<TimeNs>, ArenaAllocator<TimeNs>>
         active_delays_;

@@ -48,10 +48,8 @@ constexpr int kMaxPriorityClass = (1 << 22) - 1;
 
 } // namespace
 
-SharedChannel::SharedChannel(EventQueue& queue, Bandwidth capacity,
-                             ChannelFairness fairness)
-    : queue_(queue), capacity_(capacity), fairness_(fairness),
-      last_update_(queue.now())
+SharedChannel::SharedChannel(EventQueue& queue, Bandwidth capacity)
+    : queue_(queue), capacity_(capacity), last_update_(queue.now())
 {
     THEMIS_ASSERT(capacity_ > 0.0, "channel capacity must be positive");
 }
@@ -70,18 +68,6 @@ SharedChannel::heapPop()
     std::pop_heap(finish_heap_.begin(), finish_heap_.end(),
                   FinishLater{});
     finish_heap_.pop_back();
-}
-
-double
-SharedChannel::virtualRate() const
-{
-    // Egalitarian keeps the literal pre-priority expression; Weighted
-    // with all-unit weights has weight_sum_ == active_count_ exactly
-    // (sums of 1.0 are integers), so the two branches divide by the
-    // same double and stay bit-identical.
-    if (fairness_ == ChannelFairness::Egalitarian)
-        return capacity_ / static_cast<double>(active_count_);
-    return capacity_ / weight_sum_;
 }
 
 std::uint32_t
@@ -176,10 +162,6 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
                       priority_class <= kMaxPriorityClass,
                   "priority class " << priority_class
                                     << " out of range");
-    THEMIS_ASSERT(fairness_ == ChannelFairness::Weighted ||
-                      weight == 1.0,
-                  "egalitarian channel requires unit weights, got "
-                      << weight);
     advanceTo(queue_.now());
     const std::uint32_t idx = allocSlot();
     Transfer& t = slots_[idx];
@@ -195,7 +177,7 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     // drains when the unit-weight clock has advanced bytes/w (it
     // receives w bytes per virtual byte). Unit weight — the common
     // case — skips the division; x/1.0 == x exactly, so both forms
-    // preserve the egalitarian finish points.
+    // give the same finish point.
     const double v_end =
         vtime_ + (weight == 1.0 ? bytes : bytes / weight);
     weight_sum_ += weight;
@@ -391,9 +373,7 @@ SharedChannel::advanceTo(TimeNs t)
     progressed_bytes_ += capacity_ * dt;
     busy_time_ += dt;
     // Per-class attribution: a class with aggregate weight W_c moves
-    // capacity * W_c / weight_sum = rate * W_c bytes per ns. (In
-    // egalitarian mode all weights are 1, so W_c is the class's
-    // active count and rate is capacity/n — the same formula.)
+    // capacity * W_c / weight_sum = rate * W_c bytes per ns.
     for (ClassState* cs : busy_classes_) {
         cs->progressed += rate * cs->weight_sum * dt;
         cs->busy += dt;
@@ -441,8 +421,7 @@ SharedChannel::onCompletionEvent()
     // the nearest transfer (its drain time is below kTimeSliver),
     // widen to its finish point so the event still completes
     // something. The sliver test deliberately measures the virtual
-    // remainder at full capacity — conservative under weights, and
-    // bit-identical to the egalitarian expression when weights are 1.
+    // remainder at full capacity, which is conservative under weights.
     double threshold = vtime_ + kDrainEps;
     const double top_remaining = finish_heap_.front().v_end - vtime_;
     if (top_remaining > kDrainEps &&

@@ -6,7 +6,7 @@
  * fluid server: all active transfers progress simultaneously, each
  * receiving a share of the capacity proportional to its *flow weight*
  * (ASTRA-sim's analytical backend uses the same fluid abstraction,
- * with equal shares). Latency phases of collective steps are NOT
+ * with equal shares; unit weights give exactly that). Latency phases of collective steps are NOT
  * modelled here — callers wait out fixed delays with plain timer
  * events and only occupy the channel for the byte-transfer part,
  * which is what lets concurrent chunks hide each other's step
@@ -22,12 +22,9 @@
  * min-heap. Advancing the clock updates one scalar (O(1));
  * begin/abort/completion touch only the heap (O(log n)) — nothing
  * ever iterates the active set. With every weight equal to 1 the
- * arithmetic reduces term-for-term to the egalitarian formulation
- * (the weight sum of n unit flows is exactly the integer n in
- * double precision), so results are bit-identical to the
- * pre-priority channel; ChannelFairness::Egalitarian keeps the
- * literal count-based expressions in the same binary as a
- * measurement/equivalence baseline.
+ * weight sum of n flows is exactly the integer n in double
+ * precision, so each of n transfers runs at exactly capacity / n:
+ * equal shares, with no special case.
  *
  * Because only differences (v_end - V) carry meaning, the channel
  * periodically *rebases* virtual time: once V exceeds 1e9 virtual
@@ -56,17 +53,6 @@
 #include "stats/telemetry/metrics.hpp"
 
 namespace themis::sim {
-
-/**
- * Fluid-model fairness discipline. Weighted is the native
- * formulation; Egalitarian is the pre-priority equal-share path
- * (weights must all be 1), retained so equivalence tests and benches
- * can compare both in one binary.
- */
-enum class ChannelFairness {
-    Weighted,
-    Egalitarian,
-};
 
 /**
  * Fluid-model shared link implementing weighted processor sharing:
@@ -101,10 +87,8 @@ class SharedChannel
     /**
      * @param queue    event queue driving this channel
      * @param capacity aggregate bandwidth in bytes/ns (> 0)
-     * @param fairness sharing discipline (see ChannelFairness)
      */
-    SharedChannel(EventQueue& queue, Bandwidth capacity,
-                  ChannelFairness fairness = ChannelFairness::Weighted);
+    SharedChannel(EventQueue& queue, Bandwidth capacity);
 
     SharedChannel(const SharedChannel&) = delete;
     SharedChannel& operator=(const SharedChannel&) = delete;
@@ -118,8 +102,7 @@ class SharedChannel
 
     /**
      * Begin transferring @p bytes at @p weight (> 0) in priority
-     * class @p priority_class (>= 0, small). Egalitarian channels
-     * accept unit weights only.
+     * class @p priority_class (>= 0, small).
      */
     TransferId begin(Bytes bytes, double weight, Callback on_done,
                      int priority_class = 0,
@@ -156,9 +139,6 @@ class SharedChannel
 
     /** Configured capacity (bytes/ns). */
     Bandwidth capacity() const { return capacity_; }
-
-    /** Configured fairness discipline. */
-    ChannelFairness fairness() const { return fairness_; }
 
     /**
      * Total bytes progressed so far (including partial progress of
@@ -307,8 +287,8 @@ class SharedChannel
     void rebaseNow();
     void heapPush(FinishEntry entry);
     void heapPop();
-    /** Virtual-time rate capacity / total weight (egalitarian: /n). */
-    double virtualRate() const;
+    /** Virtual-time rate: capacity / total active weight. */
+    double virtualRate() const { return capacity_ / weight_sum_; }
     /** Slot of the live transfer named by @p id, or kNoSlot. */
     std::uint32_t liveSlot(TransferId id) const;
     std::uint32_t allocSlot();
@@ -317,7 +297,6 @@ class SharedChannel
 
     EventQueue& queue_;
     Bandwidth capacity_;
-    ChannelFairness fairness_;
     /** Transfer slab; steady state recycles slots, never allocates. */
     std::vector<Transfer> slots_;
     std::uint32_t free_head_ = kNoSlot;

@@ -292,35 +292,38 @@ TEST(Admission, WeightAwareBitIdenticalToTierBlindUnderUniform)
 {
     const Topology topo = presets::byName("3D-SW_SW_SW_homo");
     // Uniform weights: the weighted service demand reduces to the
-    // tier-blind sum term for term, so full runs are bit-identical.
+    // plain transfer-time sum term for term, so full runs reproduce
+    // the durations the retired tier-blind check recorded, bit for
+    // bit.
+    const std::vector<TimeNs> want[2] = {
+        {0x1.dd74e1cp+21, 0x1.143336ep+22, 0x1.39abfcep+22,
+         0x1.5f24c2ep+22},
+        {0x1.39b13848e38e3p+22, 0x1.6d9e9eep+21, 0x1.6d471eep+20,
+         0x1.5f29fe48e38e3p+22},
+    };
     for (bool tiered_classes : {false, true}) {
-        std::vector<TimeNs> durs[2];
-        for (int legacy = 0; legacy < 2; ++legacy) {
-            runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-            if (tiered_classes) {
-                // tiered(1): classes separated, weights all 1.
-                cfg.scheduler = SchedulerKind::ThemisPriority;
-                cfg.priority = PriorityPolicy::tiered(1.0);
-            }
-            cfg.legacy_tier_blind_headroom = legacy == 1;
-            sim::EventQueue q;
-            runtime::CommRuntime comm(q, topo, cfg);
-            std::vector<int> ids;
-            for (int i = 0; i < 4; ++i) {
-                CollectiveRequest req;
-                req.type = CollectiveType::AllReduce;
-                req.size = 2.0e8;
-                req.chunks = 32;
-                req.priority_tier = i % kNumPriorityTiers;
-                ids.push_back(comm.issue(req));
-            }
-            q.run();
-            for (int id : ids)
-                durs[legacy].push_back(comm.record(id).duration());
+        runtime::RuntimeConfig cfg = runtime::themisScfConfig();
+        if (tiered_classes) {
+            // tiered(1): classes separated, weights all 1.
+            cfg.scheduler = SchedulerKind::ThemisPriority;
+            cfg.priority = PriorityPolicy::tiered(1.0);
         }
-        ASSERT_EQ(durs[0].size(), durs[1].size());
-        for (std::size_t i = 0; i < durs[0].size(); ++i)
-            EXPECT_TRUE(bitEquals(durs[0][i], durs[1][i]))
+        sim::EventQueue q;
+        runtime::CommRuntime comm(q, topo, cfg);
+        std::vector<int> ids;
+        for (int i = 0; i < 4; ++i) {
+            CollectiveRequest req;
+            req.type = CollectiveType::AllReduce;
+            req.size = 2.0e8;
+            req.chunks = 32;
+            req.priority_tier = i % kNumPriorityTiers;
+            ids.push_back(comm.issue(req));
+        }
+        q.run();
+        const std::vector<TimeNs>& w = want[tiered_classes ? 1 : 0];
+        ASSERT_EQ(ids.size(), w.size());
+        for (std::size_t i = 0; i < ids.size(); ++i)
+            EXPECT_TRUE(bitEquals(comm.record(ids[i]).duration(), w[i]))
                 << "tiered_classes=" << tiered_classes << " op " << i;
     }
 }
@@ -330,16 +333,13 @@ TEST(Admission, WeightAwareHeadroomHelpsUrgentUnderWeights)
     const Topology topo = presets::byName("2D-SW_SW");
     // With real weight ladders the weight-aware check admits urgent
     // work a bulk backlog would have blocked; the urgent stream must
-    // be no slower than under the tier-blind check.
-    TimeNs mean[2] = {0.0, 0.0};
-    for (int legacy = 0; legacy < 2; ++legacy) {
-        runtime::RuntimeConfig cfg = priorityConfig(16.0);
-        cfg.legacy_tier_blind_headroom = legacy == 1;
-        sim::EventQueue q;
-        Cluster cl(q, topo, cfg, contentionMix());
-        mean[legacy] = cl.run().jobs[1].mean_latency;
-    }
-    EXPECT_LE(mean[0], mean[1] * (1.0 + 1e-9));
+    // be no slower than under the retired tier-blind check, whose
+    // mean latency on this mix is recorded here.
+    const TimeNs unweighted_mean = 0x1.29ff867e3035bp+18;
+    sim::EventQueue q;
+    Cluster cl(q, topo, priorityConfig(16.0), contentionMix());
+    EXPECT_LE(cl.run().jobs[1].mean_latency,
+              unweighted_mean * (1.0 + 1e-9));
 }
 
 // ---------------------------------------------------- offset search

@@ -161,57 +161,65 @@ TEST(CommRuntime, EngineAccessorBoundsChecked)
 
 TEST(CommRuntime, IndexedAndLegacyEngineSelectionAgree)
 {
-    // The indexed ready-set and the pre-PR linear scan must pick
-    // identical ops in identical order — checked end-to-end via
-    // bit-identical completion times across policies, collective
-    // types, and overlapping collectives.
-    for (const auto& base_cfg :
-         {baselineConfig(), themisFifoConfig(), themisScfConfig()}) {
-        for (const auto type :
-             {CollectiveType::AllReduce, CollectiveType::AllToAll}) {
-            auto run = [&](bool legacy) {
-                RuntimeConfig cfg = base_cfg;
-                cfg.legacy_engine_scan = legacy;
-                sim::EventQueue queue;
-                CommRuntime comm(queue,
-                                 presets::make3DSwSwSwHetero(), cfg);
-                const int a = comm.issue(request(type, 4.0e8, 24));
-                // Overlap a second, scoped collective mid-flight.
-                queue.runUntil(queue.now() + 1.0e5);
-                const int b = comm.issue(
-                    request(type, 1.0e8, 8,
-                            {ScopeDim{0, 0}, ScopeDim{1, 0}}));
-                queue.run();
-                return std::pair<TimeNs, TimeNs>(
-                    comm.record(a).duration(),
-                    comm.record(b).duration());
-            };
-            const auto fast = run(false);
-            const auto legacy = run(true);
-            EXPECT_EQ(fast.first, legacy.first);
-            EXPECT_EQ(fast.second, legacy.second);
-        }
+    // The indexed ready-set must pick the ops the retired linear
+    // queue scan picked, in the same order — checked end-to-end
+    // against the bit-exact completion times that scan produced,
+    // across policies, collective types, and overlapping
+    // collectives.
+    struct Case
+    {
+        RuntimeConfig cfg;
+        CollectiveType type;
+        TimeNs a;
+        TimeNs b;
+    };
+    const Case cases[] = {
+        {baselineConfig(), CollectiveType::AllReduce,
+         0x1.0b0ff8p+22, 0x1.22efbp+22},
+        {baselineConfig(), CollectiveType::AllToAll,
+         0x1.c0af695555555p+22, 0x1.0df753fffffffp+22},
+        {themisFifoConfig(), CollectiveType::AllReduce,
+         0x1.e7510f5555557p+21, 0x1.5bf3d48000002p+21},
+        {themisFifoConfig(), CollectiveType::AllToAll,
+         0x1.c0af695555555p+22, 0x1.0df753fffffffp+22},
+        {themisScfConfig(), CollectiveType::AllReduce,
+         0x1.89936d9555556p+21, 0x1.b5cd36aaaaaacp+19},
+        {themisScfConfig(), CollectiveType::AllToAll,
+         0x1.ee0843ffffffep+22, 0x1.f25e4aaaaaaaap+19},
+    };
+    for (const Case& c : cases) {
+        sim::EventQueue queue;
+        CommRuntime comm(queue, presets::make3DSwSwSwHetero(), c.cfg);
+        const int a = comm.issue(request(c.type, 4.0e8, 24));
+        // Overlap a second, scoped collective mid-flight.
+        queue.runUntil(queue.now() + 1.0e5);
+        const int b = comm.issue(request(
+            c.type, 1.0e8, 8, {ScopeDim{0, 0}, ScopeDim{1, 0}}));
+        queue.run();
+        EXPECT_EQ(comm.record(a).duration(), c.a);
+        EXPECT_EQ(comm.record(b).duration(), c.b);
     }
 }
 
 TEST(CommRuntime, IndexedSelectionHonorsEnforcedOrders)
 {
-    for (const auto planner :
-         {OrderPlanner::ShadowSim, OrderPlanner::FastSerial}) {
-        auto run = [&](bool legacy) {
-            RuntimeConfig cfg = themisScfConfig();
-            cfg.enforce_consistent_order = true;
-            cfg.order_planner = planner;
-            cfg.legacy_engine_scan = legacy;
-            sim::EventQueue queue;
-            CommRuntime comm(queue, presets::make3DSwSwSwHetero(),
-                             cfg);
-            const int id = comm.issue(
-                request(CollectiveType::AllReduce, 4.0e8, 24));
-            queue.run();
-            return comm.record(id).duration();
-        };
-        EXPECT_EQ(run(false), run(true));
+    // Enforced orders park and promote ops in the ready set; the
+    // results must match the retired linear scan's, recorded bit for
+    // bit.
+    const std::pair<OrderPlanner, TimeNs> cases[] = {
+        {OrderPlanner::ShadowSim, 0x1.56296a9555554p+21},
+        {OrderPlanner::FastSerial, 0x1.4e85a36aaaaabp+21},
+    };
+    for (const auto& [planner, want] : cases) {
+        RuntimeConfig cfg = themisScfConfig();
+        cfg.enforce_consistent_order = true;
+        cfg.order_planner = planner;
+        sim::EventQueue queue;
+        CommRuntime comm(queue, presets::make3DSwSwSwHetero(), cfg);
+        const int id =
+            comm.issue(request(CollectiveType::AllReduce, 4.0e8, 24));
+        queue.run();
+        EXPECT_EQ(comm.record(id).duration(), want);
     }
 }
 

@@ -250,71 +250,83 @@ TEST(Convergence, FingerprintSeparatesDifferentWorkloads)
 
 TEST(Convergence, BatchedAdmissionBitIdenticalToScalar)
 {
-    const ModelGraph model = smallHybridModel();
-    for (const auto& topo :
-         {presets::make2DSwSw(), presets::make3DSwSwSwHomo()}) {
-        runtime::RuntimeConfig batched = runtime::themisScfConfig();
-        runtime::RuntimeConfig scalar = batched;
-        scalar.legacy_scalar_admission = true;
+    // Single-tier, order-free runs take the batched refill. Each must
+    // reproduce, bit for bit, what the retired always-scalar engine
+    // recorded: the summed iteration breakdown, the op count and the
+    // per-dimension bytes.
+    struct Case
+    {
+        Topology topo;
+        IterationBreakdown total;
+        std::uint64_t ops;
+        std::vector<Bytes> dim_bytes;
+    };
+    const Case cases[] = {
+        {presets::make2DSwSw(),
+         {0x1.24f8p+20, 0x1.24f8p+21, 0x1.45c8p+20, 0x1.43edp+18,
+          0x1.416adp+22},
+         4608,
+         {0x1.5752ap+27, 0x1.0e5ddep+27}},
+        {presets::make3DSwSwSwHomo(),
+         {0x1.24f8p+20, 0x1.24f8p+21, 0x1.e8acp+20, 0x0p+0,
+          0x1.55e5p+22},
+         6144,
+         {0x1.5752ap+27, 0x1.42f01e8p+26, 0x1.b3973bp+25}},
+    };
+    for (const Case& c : cases) {
         ConvergenceOptions opts;
         opts.iterations = 4;
         opts.replay = false;
-        const auto rb = runModel(model, topo, opts, batched);
-        const auto rs = runModel(model, topo, opts, scalar);
-        EXPECT_TRUE(bitIdentical(rb.total, rs.total));
-        EXPECT_EQ(rb.ops, rs.ops);
-        for (std::size_t d = 0; d < rb.dim_bytes.size(); ++d)
-            EXPECT_EQ(rb.dim_bytes[d], rs.dim_bytes[d]);
+        const auto r = runModel(smallHybridModel(), c.topo, opts);
+        EXPECT_TRUE(bitIdentical(r.total, c.total)) << c.topo.name();
+        EXPECT_EQ(r.ops, c.ops);
+        EXPECT_EQ(r.dim_bytes, c.dim_bytes);
     }
 }
 
 TEST(Convergence, BatchedAdmissionMatchesScalarUnderPriorities)
 {
     // Mixed tiers force the batched dispatcher onto the scalar
-    // fallback mid-run; results must still match the always-scalar
-    // engine bit for bit.
-    runtime::RuntimeConfig batched = runtime::themisScfConfig();
-    batched.scheduler = SchedulerKind::ThemisPriority;
-    batched.priority = PriorityPolicy::tiered(4.0);
-    runtime::RuntimeConfig scalar = batched;
-    scalar.legacy_scalar_admission = true;
-
-    auto run_two_tenant = [&](const runtime::RuntimeConfig& cfg) {
-        sim::EventQueue queue;
-        runtime::CommRuntime comm(queue, presets::make2DSwSw(), cfg);
-        std::vector<TimeNs> done;
-        for (int i = 0; i < 4; ++i) {
-            CollectiveRequest r;
-            r.type = CollectiveType::AllReduce;
-            r.size = 1.0e8;
-            r.priority_tier =
-                static_cast<int>(i % 2 == 0 ? PriorityTier::Urgent
-                                            : PriorityTier::Bulk);
-            const int id = comm.issue(r);
-            (void)id;
-        }
-        queue.run();
-        for (const auto& rec : comm.records())
-            done.push_back(rec.completed);
-        return done;
-    };
-    EXPECT_EQ(run_two_tenant(batched), run_two_tenant(scalar));
+    // fallback mid-run; completion times must still match the ones
+    // the retired always-scalar engine recorded, bit for bit.
+    runtime::RuntimeConfig cfg = runtime::themisScfConfig();
+    cfg.scheduler = SchedulerKind::ThemisPriority;
+    cfg.priority = PriorityPolicy::tiered(4.0);
+    sim::EventQueue queue;
+    runtime::CommRuntime comm(queue, presets::make2DSwSw(), cfg);
+    for (int i = 0; i < 4; ++i) {
+        CollectiveRequest r;
+        r.type = CollectiveType::AllReduce;
+        r.size = 1.0e8;
+        r.priority_tier = static_cast<int>(
+            i % 2 == 0 ? PriorityTier::Urgent : PriorityTier::Bulk);
+        comm.issue(r);
+    }
+    queue.run();
+    std::vector<TimeNs> done;
+    for (const auto& rec : comm.records())
+        done.push_back(rec.completed);
+    const std::vector<TimeNs> want = {
+        0x1.51b7233d044b6p+20, 0x1.7ea9397p+21, 0x1.b0eceb2p+20,
+        0x1.b321417p+21};
+    EXPECT_EQ(done, want);
 }
 
 TEST(Convergence, EnforcedOrderRunsStayOnScalarPathAndAgree)
 {
-    runtime::RuntimeConfig batched = runtime::themisScfConfig();
-    batched.enforce_consistent_order = true;
-    runtime::RuntimeConfig scalar = batched;
-    scalar.legacy_scalar_admission = true;
+    // Enforced orders keep every refill on the scalar path; the run
+    // must match the retired always-scalar engine's recorded totals.
+    runtime::RuntimeConfig cfg = runtime::themisScfConfig();
+    cfg.enforce_consistent_order = true;
     ConvergenceOptions opts;
     opts.iterations = 3;
     opts.replay = false;
-    const auto rb = runModel(smallHybridModel(), presets::make2DSwSw(),
-                             opts, batched);
-    const auto rs = runModel(smallHybridModel(), presets::make2DSwSw(),
-                             opts, scalar);
-    EXPECT_TRUE(bitIdentical(rb.total, rs.total));
+    const auto r = runModel(smallHybridModel(), presets::make2DSwSw(),
+                            opts, cfg);
+    const IterationBreakdown want{0x1.b774p+19, 0x1.b774p+20,
+                                  0x1.e8acp+19, 0x1.e5e38p+17,
+                                  0x1.e22038p+21};
+    EXPECT_TRUE(bitIdentical(r.total, want));
 }
 
 TEST(Convergence, RunWithoutEpochsStillWorksAfterEpochRun)

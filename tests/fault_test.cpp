@@ -272,10 +272,38 @@ TEST(FaultRuntime, ConfigRejectsBadWiring)
     EXPECT_THROW(runtime::CommRuntime(q, topo, bad_retry),
                  ConfigError);
 
-    auto legacy = runtime::themisScfConfig();
-    legacy.faults = &ok;
-    legacy.legacy_engine_scan = true;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, legacy), ConfigError);
+    // A bad admission tunable is a configuration error too, not a
+    // panic.
+    auto bad_parallel = runtime::themisScfConfig();
+    bad_parallel.admission.max_parallel_ops = 0;
+    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_parallel),
+                 ConfigError);
+    auto bad_headroom = runtime::themisScfConfig();
+    bad_headroom.admission.latency_headroom = 0.0;
+    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_headroom),
+                 ConfigError);
+    auto bad_bypass = runtime::themisScfConfig();
+    bad_bypass.admission.max_priority_bypass = 0;
+    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_bypass),
+                 ConfigError);
+
+    // The compatibility constructor accepts the retired baselines'
+    // arguments only when every one of them is off.
+    const runtime::AdmissionConfig adm;
+    const auto engine = [&](bool scan, sim::ChannelFairness fairness,
+                            bool scalar, bool unweighted) {
+        runtime::DimensionEngine e(q, topo.dim(0), 0, IntraDimPolicy::Scf,
+                                   adm, scan, fairness, scalar,
+                                   unweighted);
+    };
+    const auto weighted = sim::ChannelFairness::Weighted;
+    EXPECT_NO_THROW(engine(false, weighted, false, false));
+    EXPECT_THROW(engine(true, weighted, false, false), ConfigError);
+    EXPECT_THROW(engine(false, sim::ChannelFairness::Egalitarian, false,
+                        false),
+                 ConfigError);
+    EXPECT_THROW(engine(false, weighted, true, false), ConfigError);
+    EXPECT_THROW(engine(false, weighted, false, true), ConfigError);
 }
 
 // ------------------------------------------------ fault report table

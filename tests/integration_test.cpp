@@ -218,17 +218,14 @@ TEST(Integration, IdealNeverLosesToSimulationByMuch)
 TEST(Integration, PreOptimizationPathReproducesTrainingIterations)
 {
     // The configuration the sweep optimizations replaced -- no plan
-    // cache, heap event queue, linear engine scan, egalitarian
-    // channels -- must simulate training iterations bit-identically
-    // to the default path with a shared plan cache.
+    // cache, heap event queue -- must simulate training iterations
+    // bit-identically to the default path with a shared plan cache.
     const auto topo = presets::byName("3D-SW_SW_SW_hetero");
     PlanCache cache;
     for (const char* name : {"ResNet-152", "GNMT", "DLRM"}) {
         auto run = [&](bool optimized) {
             runtime::RuntimeConfig cfg = runtime::themisScfConfig();
             cfg.plan_cache = optimized ? &cache : nullptr;
-            cfg.legacy_engine_scan = !optimized;
-            cfg.legacy_egalitarian_channel = !optimized;
             sim::EventQueue queue(optimized ? sim::EventFrontEnd::Calendar
                                             : sim::EventFrontEnd::Heap);
             runtime::CommRuntime comm(queue, topo, cfg);

@@ -2,8 +2,7 @@
  * @file
  * Weighted-fairness dataplane tests: weighted-GPS channel invariants
  * (weight-proportional sharing, byte conservation, weight-aware
- * rebasing), equal-weight ≡ egalitarian bit-identical equivalence
- * across fig08/fig10/fig12-shaped harnesses, tier precedence and
+ * rebasing, recorded equal-share timings), tier precedence and
  * no-starvation in the dimension engines, the priority-aware Themis
  * scheduler variant, priority-extended plan-cache keys, the step-plan
  * memo, and per-class statistics.
@@ -16,18 +15,15 @@
 
 #include "core/priority_policy.hpp"
 #include "core/themis_scheduler.hpp"
-#include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "runtime/dimension_engine.hpp"
 #include "sim/shared_channel.hpp"
 #include "topology/parse.hpp"
 #include "topology/presets.hpp"
-#include "workload/training_loop.hpp"
 
 namespace themis {
 namespace {
 
-using sim::ChannelFairness;
 using sim::EventQueue;
 using sim::SharedChannel;
 
@@ -150,152 +146,37 @@ TEST(WeightedChannel, RebaseAcrossConcurrentMixedWeights)
     EXPECT_NEAR(ch.progressedBytes(), kA + kB, 2.0);
 }
 
-TEST(WeightedChannel, EqualWeightsBitIdenticalToEgalitarian)
+TEST(WeightedChannel, EqualWeightsMatchRecordedEqualShareTimes)
 {
-    // The same staggered begin/abort script on a Weighted and an
-    // Egalitarian channel must produce *bit-identical* completion
-    // timestamps — unit weights make the arithmetic reduce
-    // term-for-term.
-    auto run = [](ChannelFairness fairness) {
-        EventQueue q;
-        SharedChannel ch(q, 37.5, fairness);
-        std::vector<TimeNs> times;
-        SharedChannel::TransferId victim = 0;
-        for (int i = 0; i < 6; ++i) {
-            q.scheduleAfter(static_cast<TimeNs>(i) * 13.0, [&, i] {
-                const auto id = ch.begin(
-                    1.0e5 * (i + 1) + 0.37 * i,
-                    [&] { times.push_back(q.now()); });
-                if (i == 3)
-                    victim = id;
-            });
-        }
-        q.scheduleAfter(5000.0, [&] { ch.abort(victim); });
-        q.run();
-        ch.sync();
-        times.push_back(ch.progressedBytes());
-        times.push_back(ch.busyTime());
-        return times;
-    };
-    const auto weighted = run(ChannelFairness::Weighted);
-    const auto egalitarian = run(ChannelFairness::Egalitarian);
-    ASSERT_EQ(weighted.size(), egalitarian.size());
-    for (std::size_t i = 0; i < weighted.size(); ++i)
-        EXPECT_EQ(weighted[i], egalitarian[i]) << "index " << i;
-}
-
-// ------------------------------------------- runtime equivalence
-
-runtime::RuntimeConfig
-withChannelMode(runtime::RuntimeConfig cfg, bool egalitarian)
-{
-    cfg.legacy_egalitarian_channel = egalitarian;
-    return cfg;
-}
-
-struct RunOutcome
-{
-    TimeNs duration = 0.0;
-    double util = 0.0;
-
-    bool
-    operator==(const RunOutcome& o) const
-    {
-        return duration == o.duration && util == o.util;
+    // A staggered begin/abort script at unit weights must reproduce,
+    // bit for bit, the completion timestamps, progressed bytes and
+    // busy time the retired count-based equal-share channel recorded:
+    // the weight sum of n unit flows is exactly n.
+    EventQueue q;
+    SharedChannel ch(q, 37.5);
+    std::vector<TimeNs> times;
+    SharedChannel::TransferId victim = 0;
+    for (int i = 0; i < 6; ++i) {
+        q.scheduleAfter(static_cast<TimeNs>(i) * 13.0, [&, i] {
+            const auto id = ch.begin(1.0e5 * (i + 1) + 0.37 * i,
+                                     [&] { times.push_back(q.now()); });
+            if (i == 3)
+                victim = id;
+        });
     }
-};
-
-RunOutcome
-runOnce(const Topology& topo, const runtime::RuntimeConfig& cfg,
-        CollectiveType type, Bytes size, int chunks)
-{
-    EventQueue queue;
-    runtime::CommRuntime comm(queue, topo, cfg);
-    CollectiveRequest req;
-    req.type = type;
-    req.size = size;
-    req.chunks = chunks;
-    const int id = comm.issue(req);
-    queue.run();
-    comm.finalizeStats();
-    return RunOutcome{comm.record(id).duration(),
-                      comm.utilization().weightedUtilization()};
-}
-
-TEST(EgalitarianEquivalence, Fig08SizeSweepBitIdentical)
-{
-    // The fig08 harness shape: All-Reduce size sweep across the three
-    // Table 3 scheduler configs. Weighted (all-unit weights) vs the
-    // pre-refactor egalitarian channel must match bit-for-bit.
-    const Topology topo = presets::byName("2D-SW_SW");
-    const std::vector<runtime::RuntimeConfig> cfgs = {
-        runtime::baselineConfig(), runtime::themisFifoConfig(),
-        runtime::themisScfConfig()};
-    for (const auto& cfg : cfgs) {
-        for (Bytes size : {1.0e8, 5.0e8, 1.0e9}) {
-            const RunOutcome weighted =
-                runOnce(topo, withChannelMode(cfg, false),
-                        CollectiveType::AllReduce, size, 64);
-            const RunOutcome egalitarian =
-                runOnce(topo, withChannelMode(cfg, true),
-                        CollectiveType::AllReduce, size, 64);
-            EXPECT_TRUE(weighted == egalitarian)
-                << "size " << size << ": " << weighted.duration
-                << " vs " << egalitarian.duration;
-        }
-    }
-}
-
-TEST(EgalitarianEquivalence, Fig10ChunkSweepBitIdentical)
-{
-    // The fig10 harness shape: chunks-per-collective sensitivity,
-    // including enforced consistent orders (shadow simulation runs
-    // through the same channels).
-    const Topology topo = presets::byName("3D-SW_SW_SW_homo");
-    for (int chunks : {4, 16, 64}) {
-        for (bool enforce : {false, true}) {
-            runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-            cfg.enforce_consistent_order = enforce;
-            const RunOutcome weighted =
-                runOnce(topo, withChannelMode(cfg, false),
-                        CollectiveType::AllReduce, 5.0e8, chunks);
-            const RunOutcome egalitarian =
-                runOnce(topo, withChannelMode(cfg, true),
-                        CollectiveType::AllReduce, 5.0e8, chunks);
-            EXPECT_TRUE(weighted == egalitarian)
-                << chunks << " chunks, enforce " << enforce;
-        }
-    }
-}
-
-TEST(EgalitarianEquivalence, Fig12TrainingIterationBitIdentical)
-{
-    // The fig12 harness shape: a full training iteration (compute +
-    // blocking/non-blocking collectives with tier tags) must be
-    // unaffected by the channel formulation under the default uniform
-    // policy.
-    const Topology topo = presets::byName("2D-SW_SW");
-    const auto workloads = models::paperWorkloads();
-    ASSERT_GE(workloads.size(), 2u);
-    for (std::size_t w = 0; w < 2; ++w) {
-        auto run_iter = [&](bool egalitarian) {
-            EventQueue queue;
-            runtime::CommRuntime comm(
-                queue, topo,
-                withChannelMode(runtime::themisScfConfig(),
-                                egalitarian));
-            workload::TrainingLoop loop(comm,
-                                        models::byName(workloads[w]));
-            return loop.runIteration();
-        };
-        const auto a = run_iter(false);
-        const auto b = run_iter(true);
-        EXPECT_EQ(a.fwd_compute, b.fwd_compute) << workloads[w];
-        EXPECT_EQ(a.bwd_compute, b.bwd_compute) << workloads[w];
-        EXPECT_EQ(a.exposed_mp, b.exposed_mp) << workloads[w];
-        EXPECT_EQ(a.exposed_dp, b.exposed_dp) << workloads[w];
-        EXPECT_EQ(a.total, b.total) << workloads[w];
-    }
+    q.scheduleAfter(5000.0, [&] { ch.abort(victim); });
+    q.run();
+    ch.sync();
+    times.push_back(ch.progressedBytes());
+    times.push_back(ch.busyTime());
+    const std::vector<TimeNs> want = {
+        0x1.b7c3555555555p+13, 0x1.835c7dbf487fcp+14,
+        0x1.00554e075f6fdp+15, 0x1.53c90ce703afbp+15,
+        0x1.68a39a7cca9d8p+15, 0x1.a69fb90a3d70ap+20,
+        0x1.68a39a7cca9d8p+15};
+    ASSERT_EQ(times.size(), want.size());
+    for (std::size_t i = 0; i < times.size(); ++i)
+        EXPECT_EQ(times[i], want[i]) << "index " << i;
 }
 
 // ------------------------------------------------ engine tiering
