@@ -6,7 +6,7 @@
  * fluid server: all active transfers progress simultaneously, each
  * receiving a share of the capacity proportional to its *flow weight*
  * (ASTRA-sim's analytical backend uses the same fluid abstraction,
- * with equal shares; unit weights give exactly that). Latency phases of collective steps are NOT
+ * with equal shares). Latency phases of collective steps are NOT
  * modelled here — callers wait out fixed delays with plain timer
  * events and only occupy the channel for the byte-transfer part,
  * which is what lets concurrent chunks hide each other's step
