@@ -14,6 +14,11 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/string_util.hpp"
+#include "runtime/comm_runtime.hpp"
+#include "stats/csv_writer.hpp"
+#include "stats/summary.hpp"
+#include "topology/presets.hpp"
 
 using namespace themis;
 
@@ -29,6 +34,29 @@ variant(bool use_threshold, bool init_fixed, bool account_ag,
     cfg.themis.account_ag_pass = account_ag;
     cfg.themis.carry_load_across_collectives = carry;
     return cfg;
+}
+
+struct AllReduceRun
+{
+    TimeNs time = 0.0;
+    double weighted_util = 0.0;
+};
+
+AllReduceRun
+runAllReduce(const Topology& topo, const runtime::RuntimeConfig& cfg,
+             Bytes size)
+{
+    sim::EventQueue queue;
+    runtime::CommRuntime comm(queue, topo, cfg);
+    CollectiveRequest req;
+    req.type = CollectiveType::AllReduce;
+    req.size = size;
+    req.chunks = 64;
+    const int id = comm.issue(req);
+    queue.run();
+    comm.finalizeStats();
+    return {comm.record(id).duration(),
+            comm.utilization().weightedUtilization()};
 }
 
 } // namespace
@@ -70,8 +98,7 @@ main()
                         fmtBytes(size).c_str());
             stats::TextTable t({"Variant", "Time", "Avg util"});
             for (const auto& v : variants) {
-                const auto run =
-                    bench::runAllReduce(topo, v.cfg, size);
+                const auto run = runAllReduce(topo, v.cfg, size);
                 t.addRow({v.name, fmtTime(run.time),
                           fmtPercent(run.weighted_util)});
                 csv.writeRow({topo.name(), fmtDouble(size / kMB, 0),
@@ -89,12 +116,12 @@ main()
                         "Enforced (fast serial)"});
     for (const auto& topo : presets::nextGenTopologies()) {
         auto cfg = runtime::themisScfConfig();
-        const auto policy = bench::runAllReduce(topo, cfg, 2.0e8);
+        const auto policy = runAllReduce(topo, cfg, 2.0e8);
         cfg.enforce_consistent_order = true;
         cfg.order_planner = runtime::OrderPlanner::ShadowSim;
-        const auto shadow = bench::runAllReduce(topo, cfg, 2.0e8);
+        const auto shadow = runAllReduce(topo, cfg, 2.0e8);
         cfg.order_planner = runtime::OrderPlanner::FastSerial;
-        const auto serial = bench::runAllReduce(topo, cfg, 2.0e8);
+        const auto serial = runAllReduce(topo, cfg, 2.0e8);
         t.addRow({topo.name(), fmtTime(policy.time),
                   fmtTime(shadow.time), fmtTime(serial.time)});
         csv.writeRow({topo.name(), "200", "enforced_shadow",

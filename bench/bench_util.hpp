@@ -1,125 +1,17 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction harnesses: running
- * single collectives under the Table 3 scheduler configurations and
- * emitting aligned tables plus CSV files under bench_results/.
+ * Shared helpers for the scenario-study harnesses: a standard header
+ * and CSV files under bench_results/.
  */
 
 #ifndef THEMIS_BENCH_BENCH_UTIL_HPP
 #define THEMIS_BENCH_BENCH_UTIL_HPP
 
+#include <cstdio>
 #include <filesystem>
 #include <string>
-#include <vector>
-
-#include "common/string_util.hpp"
-#include "core/ideal_estimator.hpp"
-#include "runtime/comm_runtime.hpp"
-#include "sim/sweep_runner.hpp"
-#include "stats/csv_writer.hpp"
-#include "stats/summary.hpp"
-#include "topology/presets.hpp"
 
 namespace themis::bench {
-
-/** One Table 3 scheduling configuration. */
-struct SchedulerSetup
-{
-    std::string name;
-    runtime::RuntimeConfig config;
-};
-
-/** Baseline / Themis+FIFO / Themis+SCF (Table 3, simulated rows). */
-inline std::vector<SchedulerSetup>
-table3Schedulers()
-{
-    return {{"Baseline", runtime::baselineConfig()},
-            {"Themis+FIFO", runtime::themisFifoConfig()},
-            {"Themis+SCF", runtime::themisScfConfig()}};
-}
-
-/** Result of one simulated collective. */
-struct CollectiveRun
-{
-    TimeNs time = 0.0;
-    double weighted_util = 0.0;
-    std::vector<double> per_dim_util;
-};
-
-/** Simulate one collective of @p type/@p size on @p topo in @p queue. */
-inline CollectiveRun
-runCollective(sim::EventQueue& queue, const Topology& topo,
-              const runtime::RuntimeConfig& cfg, CollectiveType type,
-              Bytes size, int chunks = 64)
-{
-    runtime::CommRuntime comm(queue, topo, cfg);
-    CollectiveRequest req;
-    req.type = type;
-    req.size = size;
-    req.chunks = chunks;
-    const int id = comm.issue(req);
-    queue.run();
-    comm.finalizeStats();
-    CollectiveRun out;
-    out.time = comm.record(id).duration();
-    out.weighted_util = comm.utilization().weightedUtilization();
-    out.per_dim_util = comm.utilization().perDimUtilization();
-    return out;
-}
-
-/** Simulate one collective on a private throwaway queue. */
-inline CollectiveRun
-runCollective(const Topology& topo, const runtime::RuntimeConfig& cfg,
-              CollectiveType type, Bytes size, int chunks = 64)
-{
-    sim::EventQueue queue;
-    return runCollective(queue, topo, cfg, type, size, chunks);
-}
-
-/** All-Reduce shorthand. */
-inline CollectiveRun
-runAllReduce(const Topology& topo, const runtime::RuntimeConfig& cfg,
-             Bytes size, int chunks = 64)
-{
-    return runCollective(topo, cfg, CollectiveType::AllReduce, size,
-                         chunks);
-}
-
-/** One cell of an independent-simulation grid. */
-struct GridCell
-{
-    const Topology* topo = nullptr;
-    runtime::RuntimeConfig config;
-    CollectiveType type = CollectiveType::AllReduce;
-    Bytes size = 0.0;
-    int chunks = 64;
-};
-
-/**
- * Simulate every cell across the sweep harness's worker threads.
- * Results come back in cell order, so callers can print tables in
- * their natural loop order after the sweep completes.
- */
-inline std::vector<CollectiveRun>
-runGrid(const std::vector<GridCell>& cells, int threads = 0)
-{
-    return sim::sweepIndexed(
-        cells.size(),
-        [&cells](std::size_t i, sim::EventQueue& queue) {
-            const GridCell& cell = cells[i];
-            return runCollective(queue, *cell.topo, cell.config,
-                                 cell.type, cell.size, cell.chunks);
-        },
-        sim::SweepOptions{threads});
-}
-
-/** The paper's microbenchmark size sweep, 100 MB to 1 GB. */
-inline std::vector<Bytes>
-microbenchSizes()
-{
-    return {100.0e6, 200.0e6, 300.0e6, 400.0e6, 500.0e6,
-            600.0e6, 700.0e6, 800.0e6, 900.0e6, 1.0e9};
-}
 
 /** Ensure bench_results/ exists and return the CSV path for @p name. */
 inline std::string

@@ -32,6 +32,7 @@
 #include "core/themis_scheduler.hpp"
 #include "models/model_zoo.hpp"
 #include "sim/fault_timeline.hpp"
+#include "topology/presets.hpp"
 #include "workload/convergence.hpp"
 #include "workload/training_loop.hpp"
 

@@ -31,6 +31,8 @@
 #include "bench_util.hpp"
 #include "models/model_zoo.hpp"
 #include "sim/fault_timeline.hpp"
+#include "stats/summary.hpp"
+#include "topology/presets.hpp"
 #include "workload/convergence.hpp"
 #include "workload/training_loop.hpp"
 

@@ -17,7 +17,14 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/string_util.hpp"
+#include "core/plan_cache.hpp"
 #include "models/model_zoo.hpp"
+#include "runtime/comm_runtime.hpp"
+#include "sim/sweep_runner.hpp"
+#include "stats/csv_writer.hpp"
+#include "stats/summary.hpp"
+#include "topology/presets.hpp"
 #include "workload/training_loop.hpp"
 
 using namespace themis;
@@ -45,7 +52,12 @@ main()
     const auto workloads = models::paperWorkloads();
     const auto topologies = presets::nextGenTopologies();
     const auto& chunks = chunkAxis();
-    const std::vector<bench::SchedulerSetup> setups{
+    struct Setup
+    {
+        const char* name;
+        runtime::RuntimeConfig config;
+    };
+    const std::vector<Setup> setups{
         {"Baseline", runtime::baselineConfig()},
         {"Themis+SCF", runtime::themisScfConfig()}};
 

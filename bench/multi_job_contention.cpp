@@ -34,7 +34,12 @@
 
 #include "bench_util.hpp"
 #include "cluster/cluster.hpp"
+#include "common/string_util.hpp"
 #include "models/model_zoo.hpp"
+#include "sim/sweep_runner.hpp"
+#include "stats/csv_writer.hpp"
+#include "stats/summary.hpp"
+#include "topology/presets.hpp"
 
 using namespace themis;
 

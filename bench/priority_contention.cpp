@@ -27,7 +27,14 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/string_util.hpp"
+#include "core/plan_cache.hpp"
 #include "core/priority_policy.hpp"
+#include "runtime/comm_runtime.hpp"
+#include "sim/sweep_runner.hpp"
+#include "stats/csv_writer.hpp"
+#include "stats/summary.hpp"
+#include "topology/presets.hpp"
 
 using namespace themis;
 

@@ -13,10 +13,14 @@
  *
  * where load_k(pi) is the N*B time dimension k absorbs per byte of
  * collective routed with order pi. The program is solved with
- * multiplicative-weights (exact enough for an oracle: the duality gap
- * is reported). Benches use it to show Themis's greedy sits within a
- * few percent of the optimum; Sec 6.3's under-provisioned scenario
- * falls out naturally (the optimum itself cannot balance).
+ * multiplicative weights, which brackets the optimum rather than
+ * hitting it: balanced_load is the value of the mix it returns (an
+ * upper bound on the optimum) and dual_bound a lower bound. Any
+ * schedule, Themis's greedy included, loads its bottleneck at least
+ * dual_bound per byte, so the greedy may land below balanced_load.
+ * tests/paper_fidelity_test.cpp asserts the greedy sits within 5% of
+ * dual_bound; Sec 6.3's under-provisioned scenario falls out
+ * naturally (the optimum itself cannot balance).
  */
 
 #ifndef THEMIS_CORE_OPTIMAL_MIX_HPP
@@ -40,12 +44,15 @@ struct OptimalMixResult
     /** Resulting per-dimension load for one byte of collective. */
     std::vector<double> per_dim_load;
 
-    /** max(per_dim_load): the optimized bottleneck, per byte. */
+    /**
+     * max(per_dim_load): the bottleneck of the returned mix, per byte.
+     * An upper bound on the optimum, not the optimum itself.
+     */
     double balanced_load = 0.0;
 
     /**
-     * Lower bound from the final dual weights; balanced_load minus
-     * this bounds the optimality gap.
+     * Lower bound on the optimum from the final dual weights;
+     * balanced_load minus this bounds the optimality gap.
      */
     double dual_bound = 0.0;
 };

@@ -13,7 +13,7 @@
  * Purposes:
  *  - cross-validation: on an unskewed platform every NPU behaves
  *    identically and the makespan must equal the dimension-granular
- *    runtime exactly (asserted in tests and the validation bench);
+ *    runtime exactly (asserted in tests);
  *  - the paper's Sec 4.6.2 consistency problem, made concrete:
  *    injecting per-NPU runtime skew lets NPUs pick different chunk
  *    orders, which can deadlock (ops waiting on peers that are stuck

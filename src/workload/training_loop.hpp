@@ -50,9 +50,9 @@ struct IterationBreakdown
 
 /**
  * Bit-pattern equality over every bucket. This is the workload-level
- * steady-state criterion of the iteration replay engine (and what the
- * fig12 bench uses to prove optimized/baseline sweep equivalence):
- * two iterations whose decompositions differ in even one ulp are not
+ * steady-state criterion of the iteration replay engine (and what
+ * tests use to prove optimized/baseline sweep equivalence): two
+ * iterations whose decompositions differ in even one ulp are not
  * replayable copies of each other.
  */
 bool bitIdentical(const IterationBreakdown& a,
