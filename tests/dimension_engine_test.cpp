@@ -2,7 +2,9 @@
  * @file
  * Unit tests of the per-dimension execution engine: queueing order,
  * admission of parallel small ops, enforced-order gating, presence
- * and listener plumbing.
+ * and listener plumbing, and the ready set's edge paths (enforced
+ * releases, mid-key parking, anti-starvation across tiers, drained
+ * keys).
  */
 
 #include <gtest/gtest.h>
@@ -197,6 +199,153 @@ TEST(DimensionEngine, ListenersSeeStartAndFinish)
     h.queue.run();
     EXPECT_DOUBLE_EQ(started, 2500.0);
     EXPECT_DOUBLE_EQ(finished_start, 2500.0);
+}
+
+// ------------------------------------------- ready-set edge paths
+//
+// Zero-latency ops admit strictly one at a time, so each start is one
+// selection. Expected orders follow the selection rule: higher tier
+// first, then (SCF) shorter service time, then earlier arrival; the
+// anti-starvation bound overrides it with the oldest waiting op.
+
+struct OrderHarness
+{
+    sim::EventQueue queue;
+    DimensionConfig cfg = switchDim(8, 800.0, 0.0);
+    std::vector<std::pair<int, int>> started; // (collective, chunk)
+
+    ChunkOp
+    op(int collective, int chunk, Bytes entering, int tier = 0)
+    {
+        return makeChunkOp(OpTag{collective, chunk, 0},
+                           Phase::ReduceScatter, 0, 0, entering, cfg,
+                           [](const ChunkOp&) {}, FlowClass{tier, 1.0});
+    }
+
+    void
+    watch(DimensionEngine& engine)
+    {
+        engine.setStartListener([this](const OpTag& tag) {
+            started.emplace_back(tag.collective_id, tag.chunk_id);
+        });
+    }
+};
+
+using Starts = std::vector<std::pair<int, int>>;
+
+TEST(DimensionEngineReadySet, EnforcedReleaseKeepsArrivalOrderInKey)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    h.watch(engine);
+    engine.setEnforcedOrder(1, {OpKey{1, 0}, OpKey{0, 0}});
+    engine.enqueue(h.op(9, 0, 8.0e6)); // starts at once, holds the rest
+    engine.enqueue(h.op(1, 0, 2.0e6)); // parked: not the expected head
+    engine.enqueue(h.op(2, 5, 2.0e6));
+    engine.enqueue(h.op(2, 6, 2.0e6));
+    engine.enqueue(h.op(1, 1, 1.0e6)); // expected head, shortest
+    h.queue.run();
+    // Starting 1.1 releases 1.0, which arrived before 2.5 and 2.6 with
+    // the same service time: it goes first among them.
+    EXPECT_EQ(h.started,
+              (Starts{{9, 0}, {1, 1}, {1, 0}, {2, 5}, {2, 6}}));
+}
+
+TEST(DimensionEngineReadySet, OrderInstalledOverPendingOpsParksMidKey)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    h.watch(engine);
+    engine.enqueue(h.op(9, 0, 8.0e6)); // starts at once, holds the rest
+    engine.enqueue(h.op(2, 5, 2.0e6));
+    engine.enqueue(h.op(1, 0, 2.0e6));
+    engine.enqueue(h.op(1, 1, 2.0e6));
+    engine.enqueue(h.op(2, 6, 2.0e6));
+    // 1.0 sits between 2.5 and 1.1 among equal keys: it parks, and
+    // returns to its arrival position once 1.1 has started.
+    engine.setEnforcedOrder(1, {OpKey{1, 0}, OpKey{0, 0}});
+    EXPECT_EQ(engine.queuedCount(), 4u);
+    h.queue.run();
+    EXPECT_EQ(h.started,
+              (Starts{{9, 0}, {2, 5}, {1, 1}, {1, 0}, {2, 6}}));
+}
+
+TEST(DimensionEngineReadySet, AntiStarvationPicksOldestFromMiddleTier)
+{
+    OrderHarness h;
+    AdmissionConfig admission;
+    admission.max_parallel_ops = 1;
+    admission.max_priority_bypass = 2;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           admission);
+    h.watch(engine);
+    engine.enqueue(h.op(0, 0, 8.0e6, 0)); // starts at once
+    engine.enqueue(h.op(1, 1, 1.0e6, 1)); // oldest waiting, middle tier
+    engine.enqueue(h.op(0, 2, 1.0e6, 0));
+    for (int c = 3; c < 7; ++c)
+        engine.enqueue(h.op(2, c, 1.0e6, 2));
+    h.queue.run();
+    // Two tier-2 starts bypass 1.1, so it is forced next; then two
+    // more bypass 0.2, which runs last as the only op left.
+    EXPECT_EQ(h.started, (Starts{{0, 0},
+                                 {2, 3},
+                                 {2, 4},
+                                 {1, 1},
+                                 {2, 5},
+                                 {2, 6},
+                                 {0, 2}}));
+    EXPECT_EQ(engine.bypassStreak(), 0);
+}
+
+TEST(DimensionEngineReadySet, FifoIgnoresSizeWithinTier)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Fifo,
+                           AdmissionConfig{});
+    h.watch(engine);
+    engine.enqueue(h.op(0, 0, 8.0e6, 0)); // starts at once
+    engine.enqueue(h.op(0, 1, 4.0e6, 0));
+    engine.enqueue(h.op(0, 2, 1.0e6, 0));
+    engine.enqueue(h.op(1, 3, 8.0e6, 1));
+    engine.enqueue(h.op(1, 4, 2.0e6, 1));
+    engine.enqueue(h.op(1, 5, 1.0e6, 1));
+    engine.enqueue(h.op(0, 6, 2.0e6, 0));
+    h.queue.run();
+    EXPECT_EQ(h.started, (Starts{{0, 0},
+                                 {1, 3},
+                                 {1, 4},
+                                 {1, 5},
+                                 {0, 1},
+                                 {0, 2},
+                                 {0, 6}}));
+}
+
+TEST(DimensionEngineReadySet, DrainedKeyIsRecreatedInPlace)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    h.watch(engine);
+    engine.enqueue(h.op(0, 0, 8.0e6)); // runs 0 .. 70 us
+    engine.enqueue(h.op(0, 1, 1.0e6)); // runs 70 .. 78.75 us
+    engine.enqueue(h.op(0, 2, 4.0e6));
+    h.queue.runUntil(72.0e3);
+    // 0.1's key has drained; new ops re-create it and a key between
+    // the two, both ahead of the older, longer 0.2.
+    ASSERT_EQ(h.started, (Starts{{0, 0}, {0, 1}}));
+    EXPECT_EQ(engine.queuedCount(), 1u);
+    engine.enqueue(h.op(0, 3, 2.0e6));
+    engine.enqueue(h.op(0, 4, 1.0e6));
+    engine.enqueue(h.op(0, 5, 1.0e6));
+    h.queue.run();
+    EXPECT_EQ(h.started, (Starts{{0, 0},
+                                 {0, 1},
+                                 {0, 4},
+                                 {0, 5},
+                                 {0, 3},
+                                 {0, 2}}));
 }
 
 TEST(DimensionEngine, RejectsWrongDimensionOps)
