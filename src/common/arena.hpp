@@ -3,8 +3,8 @@
  * Recycling node arena for the runtime hot path.
  *
  * Every chunk op that flows through a dimension engine inserts and
- * erases nodes in the pending store, the policy-ordered ready set and
- * the active map — with std::allocator that is one malloc and one
+ * erases nodes in the pending store, the active map and its delay
+ * multiset — with std::allocator that is one malloc and one
  * free per node per op, and over a multi-iteration training run the
  * nodes scatter across the heap. The arena hands out fixed-size
  * blocks carved from chunked slabs and recycles freed blocks through

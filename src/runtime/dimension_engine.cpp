@@ -1,5 +1,6 @@
 #include "runtime/dimension_engine.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -47,9 +48,6 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
                std::equal_to<std::uint64_t>{},
                ArenaAllocator<std::pair<const std::uint64_t,
                                         PendingOp>>(&arena_)),
-      ready_(ReadyCompare{policy}, ArenaAllocator<ReadyKey>(&arena_)),
-      ready_age_(std::less<std::uint64_t>{},
-                 ArenaAllocator<std::uint64_t>(&arena_)),
       active_(std::less<std::uint64_t>{},
               ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>(
                   &arena_)),
@@ -97,18 +95,71 @@ DimensionEngine::beginIterationEpoch()
     channel_.epochReset();
 }
 
+std::vector<DimensionEngine::Bucket>::iterator
+DimensionEngine::bucketFor(const ChunkOp& op)
+{
+    const int tier = op.flow.tier;
+    const TimeNs st = policy_ == IntraDimPolicy::Scf
+                          ? op.transfer_time + op.fixed_delay
+                          : 0.0;
+    auto it = buckets_.begin();
+    while (it != buckets_.end() &&
+           (it->tier > tier ||
+            (it->tier == tier && it->service_time < st)))
+        ++it;
+    if (it == buckets_.end() || it->tier != tier ||
+        it->service_time != st) {
+        it = buckets_.insert(it, Bucket{tier, st, {}, 0});
+        if (!spare_.empty()) {
+            it->seqs = std::move(spare_.back());
+            spare_.pop_back();
+        }
+    }
+    return it;
+}
+
 void
 DimensionEngine::readyInsert(const PendingOp& p)
 {
-    ready_.insert(readyKeyOf(p));
-    ready_age_.insert(p.arrival_seq);
+    Bucket& b = *bucketFor(p.op);
+    // Compact a full buffer whose consumed prefix is at least half of
+    // it instead of growing it: capacity stays under twice the peak.
+    if (b.seqs.size() == b.seqs.capacity() &&
+        2 * b.head >= b.seqs.size()) {
+        b.seqs.erase(b.seqs.begin(), b.live());
+        b.head = 0;
+    }
+    // New ops and retries carry the newest sequence number; only
+    // enforced-order releases put back an older one.
+    b.seqs.insert(b.seqs.empty() || b.seqs.back() < p.arrival_seq
+                      ? b.seqs.end()
+                      : std::lower_bound(b.live(), b.seqs.end(),
+                                         p.arrival_seq),
+                  p.arrival_seq);
 }
 
 void
 DimensionEngine::readyErase(const PendingOp& p)
 {
-    ready_.erase(readyKeyOf(p));
-    ready_age_.erase(p.arrival_seq);
+    const auto it = bucketFor(p.op);
+    const auto sit =
+        std::lower_bound(it->live(), it->seqs.end(), p.arrival_seq);
+    THEMIS_ASSERT(sit != it->seqs.end() && *sit == p.arrival_seq,
+                  "ready op missing from its bucket");
+    // Rotate the op to the head (the rest keep their order) and pop.
+    std::rotate(it->live(), sit, sit + 1);
+    readyPop(static_cast<std::size_t>(it - buckets_.begin()));
+}
+
+void
+DimensionEngine::readyPop(std::size_t b)
+{
+    Bucket& bucket = buckets_[b];
+    if (++bucket.head < bucket.seqs.size())
+        return;
+    bucket.seqs.clear();
+    spare_.push_back(std::move(bucket.seqs));
+    buckets_.erase(buckets_.begin() + static_cast<long>(b));
 }
 
 void
@@ -334,16 +385,16 @@ DimensionEngine::tryStart()
         return; // flapped: holds until the driver raises the link
     // The batched refill handles the overwhelmingly common shape —
     // one flow tier, no enforced orders, no anti-starvation debt —
-    // where selection order is exactly ready_ iteration order and no
+    // where selection order is exactly the buckets' order and no
     // start can reshape the candidate set. Everything else takes the
     // general one-op-at-a-time path. The two paths admit identical
     // prefixes by construction (the batch evaluates the same
     // check against the same running aggregates).
-    if (ready_.empty())
+    if (buckets_.empty())
         return;
     if (!enforced_.empty() ||
         bypass_streak_ >= admission_.max_priority_bypass ||
-        ready_.begin()->tier != std::prev(ready_.end())->tier) {
+        buckets_.front().tier != buckets_.back().tier) {
         tryStartScalar();
         return;
     }
@@ -374,8 +425,8 @@ DimensionEngine::tryStartBatch()
     const auto maxpar =
         static_cast<std::size_t>(admission_.max_parallel_ops);
     bool started = false;
-    while (!ready_.empty()) {
-        const std::uint64_t seq = ready_.begin()->arrival_seq;
+    while (!buckets_.empty()) {
+        const std::uint64_t seq = buckets_.front().front();
         const auto pit = pending_.find(seq);
         THEMIS_ASSERT(pit != pending_.end(),
                       "ready op missing from pending store");
@@ -391,8 +442,7 @@ DimensionEngine::tryStartBatch()
                         ? pit->second.op.fixed_delay
                         : max_delay;
         ++active_n;
-        ready_.erase(ready_.begin());
-        ready_age_.erase(seq);
+        readyPop(0);
         ChunkOp op = std::move(pit->second.op);
         pending_.erase(pit);
         startOp(std::move(op));
@@ -408,34 +458,29 @@ DimensionEngine::tryStartBatch()
 void
 DimensionEngine::tryStartScalar()
 {
-    while (!ready_.empty()) {
+    while (!buckets_.empty()) {
         // Tier-then-policy head by default; the oldest waiting op
-        // once the bypass streak hits the anti-starvation bound.
-        std::uint64_t chosen_seq = ready_.begin()->arrival_seq;
-        const std::uint64_t oldest_seq = *ready_age_.begin();
+        // (the least bucket head) once the bypass streak hits the
+        // anti-starvation bound.
+        std::size_t chosen_b = 0, oldest_b = 0;
+        for (std::size_t b = 1; b < buckets_.size(); ++b)
+            if (buckets_[b].front() < buckets_[oldest_b].front())
+                oldest_b = b;
         if (bypass_streak_ >= admission_.max_priority_bypass)
-            chosen_seq = oldest_seq;
-        auto pit = pending_.find(chosen_seq);
+            chosen_b = oldest_b;
+        auto pit = pending_.find(buckets_[chosen_b].front());
         THEMIS_ASSERT(pit != pending_.end(),
                       "ready op missing from pending store");
         if (!admissionAllows(pit->second.op))
             return;
-        if (chosen_seq == oldest_seq) {
+        // Only count genuine priority inversions: starting the oldest
+        // op, or a newer op of the same (or lower) tier, is the
+        // policy's own ordering, not a tier bypass.
+        if (buckets_[chosen_b].tier > buckets_[oldest_b].tier)
+            ++bypass_streak_;
+        else
             bypass_streak_ = 0;
-        } else {
-            auto oldest_pit = pending_.find(oldest_seq);
-            THEMIS_ASSERT(oldest_pit != pending_.end(),
-                          "ready op missing from pending store");
-            // Only count genuine priority inversions: starting a
-            // newer op of the same (or lower) tier is the policy's
-            // own ordering, not a tier bypass.
-            if (pit->second.op.flow.tier >
-                oldest_pit->second.op.flow.tier)
-                ++bypass_streak_;
-            else
-                bypass_streak_ = 0;
-        }
-        readyErase(pit->second);
+        readyPop(chosen_b);
         ChunkOp op = std::move(pit->second.op);
         pending_.erase(pit);
         // Retried ops (attempt > 0) already advanced their

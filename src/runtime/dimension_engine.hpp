@@ -18,19 +18,24 @@
  *    bandwidth held) and then transfers its bytes through the shared
  *    channel (processor sharing across concurrent ops).
  *
- * Selection is indexed: pending ops that are *eligible* (their
+ * Selection is bucketed: pending ops that are *eligible* (their
  * collective has no enforced order, or they are exactly its next
- * expected op) live in a ready-set ordered by the intra-dimension
- * policy key, so picking the next op is O(log n). Ops of an enforced
+ * expected op) sit in one bucket per selection key — (tier, service
+ * time) under SCF, the tier alone under FIFO — and the few buckets
+ * are sorted by key, higher tier first. Within a key the policy
+ * orders by arrival, so each bucket is a FIFO of arrival sequence
+ * numbers: the next op is the first bucket's head and the oldest
+ * eligible op is the least head. Enforced-order releases carry an
+ * older sequence number and take a sorted insert. Ops of an enforced
  * collective that are not yet expected are parked per collective and
  * promoted when the order cursor reaches them.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
  * anti-starvation debt is pending, the selection order is exactly the
- * ready set's iteration order and no start can reshape it — so the
- * engine evaluates the admission headroom checks over the ready
- * prefix in one streamed pass with the aggregates (running
+ * buckets' order and no start can reshape it — so the engine
+ * evaluates the admission headroom checks over the ready prefix in
+ * one streamed pass with the aggregates (running
  * transfer-time sum, running max delay, running active count) hoisted
  * into locals and a branch-light admit formula, instead of
  * re-querying the active multiset and map per start. The general
@@ -379,7 +384,7 @@ class DimensionEngine
      */
     int bypassStreak() const { return bypass_streak_; }
 
-    /** Arena slabs backing the pending/ready/active stores. */
+    /** Arena slabs backing the pending store and the active set. */
     std::size_t arenaSlabCount() const { return arena_.slabCount(); }
 
     /**
@@ -403,35 +408,17 @@ class DimensionEngine
         TimeNs started_at = 0.0;
     };
 
-    /** Ready-set key; ordering implements tier + policy tie-breaks. */
-    struct ReadyKey
+    /** Eligible ops sharing one selection key; see file comment. */
+    struct Bucket
     {
         int tier = 0;
-        TimeNs service_time = 0.0;
-        std::uint64_t arrival_seq = 0;
-        int chunk_id = 0;
-    };
+        TimeNs service_time = 0.0; ///< 0 under FIFO (tier-only key)
+        /** seqs[head..] are the ops' arrival_seq values, ascending. */
+        std::vector<std::uint64_t> seqs;
+        std::size_t head = 0;
 
-    struct ReadyCompare
-    {
-        IntraDimPolicy policy;
-
-        bool
-        operator()(const ReadyKey& a, const ReadyKey& b) const
-        {
-            // Higher flow-class tiers first; the policy orders within
-            // a tier.
-            if (a.tier != b.tier)
-                return a.tier > b.tier;
-            if (policy == IntraDimPolicy::Scf) {
-                if (a.service_time != b.service_time)
-                    return a.service_time < b.service_time;
-                if (a.arrival_seq != b.arrival_seq)
-                    return a.arrival_seq < b.arrival_seq;
-                return a.chunk_id < b.chunk_id;
-            }
-            return a.arrival_seq < b.arrival_seq;
-        }
+        std::uint64_t front() const { return seqs[head]; }
+        auto live() { return seqs.begin() + static_cast<long>(head); }
     };
 
     struct EnforcedOrder
@@ -442,20 +429,17 @@ class DimensionEngine
         std::map<std::pair<int, int>, std::uint64_t> parked;
     };
 
-    static ReadyKey
-    readyKeyOf(const PendingOp& p)
-    {
-        return ReadyKey{p.op.flow.tier,
-                        p.op.transfer_time + p.op.fixed_delay,
-                        p.arrival_seq, p.op.tag.chunk_id};
-    }
-
-    /** Insert/remove @p p in both ready indexes (policy + age). */
+    /** First bucket whose key does not sort before @p op's key. */
+    std::vector<Bucket>::iterator bucketFor(const ChunkOp& op);
+    /** Insert @p p into its key's bucket at its arrival position. */
     void readyInsert(const PendingOp& p);
+    /** Remove @p p from its bucket (parking an already-ready op). */
     void readyErase(const PendingOp& p);
+    /** Pop buckets_[b]'s head; an emptied bucket goes to spare_. */
+    void readyPop(std::size_t b);
 
     void tryStart();
-    /** One-op-at-a-time refill over the indexed ready set (general
+    /** One-op-at-a-time refill over the bucketed ready set (general
      *  path: enforced orders, mixed tiers, anti-starvation). */
     void tryStartScalar();
     /** Batched refill: admission headroom checks streamed over the
@@ -487,26 +471,24 @@ class DimensionEngine
     sim::SharedChannel channel_;
 
     /**
-     * Node arena backing every per-op container below: after the
+     * Node arena backing the per-op node containers below: after the
      * first iteration has shaped the pool, op churn allocates nothing
      * and the nodes stay packed in a few slabs (declared first so it
      * outlives the containers).
      */
     NodeArena arena_;
 
-    /** Indexed pending store: arrival_seq -> op, plus the eligible
-     *  set ordered by policy key. */
+    /** Pending store: arrival_seq -> op (eligible and parked). */
     std::unordered_map<
         std::uint64_t, PendingOp, std::hash<std::uint64_t>,
         std::equal_to<std::uint64_t>,
         ArenaAllocator<std::pair<const std::uint64_t, PendingOp>>>
         pending_;
-    std::set<ReadyKey, ReadyCompare, ArenaAllocator<ReadyKey>> ready_;
-    /** Age index over ready_ (arrival_seq ascending): the oldest
-     *  waiting op, for the anti-starvation bound. */
-    std::set<std::uint64_t, std::less<std::uint64_t>,
-             ArenaAllocator<std::uint64_t>>
-        ready_age_;
+    /** The eligible ops, bucketed by selection key in key order. A
+     *  bucket that empties leaves its storage in spare_ for the next
+     *  new key, so steady-state refills allocate nothing. */
+    std::vector<Bucket> buckets_;
+    std::vector<std::vector<std::uint64_t>> spare_;
     /** Consecutive starts that bypassed an older lower-tier op. */
     int bypass_streak_ = 0;
     std::map<std::uint64_t, ActiveOp, std::less<std::uint64_t>,
