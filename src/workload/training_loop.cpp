@@ -44,8 +44,8 @@ TrainingLoop::TrainingLoop(runtime::CommRuntime& comm, ModelGraph model,
             model_.parallel.ways(d, topo) == 1) {
             continue; // fully model-parallel: no DP communicator
         }
-        scopes_[d] = model_.parallel.scopeFor(d, topo);
-        ways_[d] = model_.parallel.ways(d, topo);
+        scopes_[static_cast<std::size_t>(d)] =
+            model_.parallel.scopeFor(d, topo);
     }
 }
 
@@ -174,7 +174,7 @@ TrainingLoop::issueComm(const LayerCommOp& op, bool in_fwd)
     req.type = op.type;
     req.size = op.size;
     req.chunks = 0; // runtime default CPC
-    req.scope = scopes_.at(op.domain);
+    req.scope = scopes_[static_cast<std::size_t>(op.domain)].value();
     req.priority_tier =
         tier_override_ >= 0
             ? tier_override_
@@ -205,15 +205,16 @@ TrainingLoop::issueDpGrads(Bytes grad_bytes, bool zero_style)
 {
     if (grad_bytes <= 0.0)
         return;
-    if (scopes_.find(CommDomain::DataParallel) == scopes_.end())
+    const auto& scope =
+        scopes_[static_cast<std::size_t>(CommDomain::DataParallel)];
+    if (!scope)
         return; // fully model-parallel workload
-    const auto& scope = scopes_.at(CommDomain::DataParallel);
     auto issue_nb = [&](CollectiveType type, Bytes size) {
         CollectiveRequest req;
         req.type = type;
         req.size = size;
         req.chunks = 0;
-        req.scope = scope;
+        req.scope = *scope;
         req.priority_tier =
             tier_override_ >= 0
                 ? tier_override_

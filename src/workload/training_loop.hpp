@@ -21,7 +21,8 @@
 #ifndef THEMIS_WORKLOAD_TRAINING_LOOP_HPP
 #define THEMIS_WORKLOAD_TRAINING_LOOP_HPP
 
-#include <map>
+#include <array>
+#include <optional>
 
 #include "runtime/comm_runtime.hpp"
 #include "workload/model_graph.hpp"
@@ -142,8 +143,8 @@ class TrainingLoop
     runtime::CommRuntime& comm_;
     ModelGraph model_;
     RooflineConfig roofline_;
-    std::map<CommDomain, std::vector<ScopeDim>> scopes_;
-    std::map<CommDomain, long> ways_;
+    /** Scope per CommDomain; empty where it has no communicator. */
+    std::array<std::optional<std::vector<ScopeDim>>, 3> scopes_;
 
     /** Cluster job binding (0 = single-workload default). */
     int job_ = 0;
