@@ -123,7 +123,7 @@ DimensionEngine::readyInsert(const PendingOp& p)
 {
     Bucket& b = *bucketFor(p.op);
     // Compact a full buffer whose consumed prefix is at least half of
-    // it instead of growing it: capacity stays under twice the peak.
+    // it: a buffer grows only while over half of it is live.
     if (b.seqs.size() == b.seqs.capacity() &&
         2 * b.head >= b.seqs.size()) {
         b.seqs.erase(b.seqs.begin(), b.live());

@@ -429,7 +429,7 @@ class DimensionEngine
         std::map<std::pair<int, int>, std::uint64_t> parked;
     };
 
-    /** First bucket whose key does not sort before @p op's key. */
+    /** @p op's key's bucket; inserted in key order if absent. */
     std::vector<Bucket>::iterator bucketFor(const ChunkOp& op);
     /** Insert @p p into its key's bucket at its arrival position. */
     void readyInsert(const PendingOp& p);
