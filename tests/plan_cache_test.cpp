@@ -104,6 +104,17 @@ TEST(PlanKey, BaselineNormalizesSchedulerConfig)
                                CollectiveType::AllReduce, 1e9, 64, 7));
 }
 
+TEST(PlanKey, HashOfDefaultThemisKeyIsPinned)
+{
+    // planKeyHash feeds the epoch fingerprints the CLI goldens print,
+    // so a change to what it mixes must show up here first.
+    EXPECT_EQ(planKeyHash(PlanKey::make(SchedulerKind::Themis,
+                                        ThemisConfig{},
+                                        CollectiveType::AllReduce, 1e9,
+                                        64, 7)),
+              0x7d1df4211de05459ull);
+}
+
 TEST(PlanCache, StoreThenFindReturnsIdenticalPlan)
 {
     const auto topo = presets::make3DSwSwSwHomo();

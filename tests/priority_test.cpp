@@ -305,6 +305,11 @@ TEST(ThemisPriority, UrgentFlowBypassesThreshold)
     EXPECT_EQ(base[0].stages[0].dim, 0);
     // The urgent flow balances: lighter dim2 (index 1) first.
     EXPECT_EQ(urgent_plan[0].stages[0].dim, 1);
+    // The bypass is per call: a bulk plan issued after the urgent one
+    // on the same scheduler keeps the baseline order again.
+    const auto bulk_after = aware.scheduleCollective(
+        CollectiveType::ReduceScatter, tiny, 1, bulk);
+    EXPECT_EQ(base[0].stages, bulk_after[0].stages);
 }
 
 TEST(ThemisPriority, UniformPolicyPlansExactlyLikeThemis)
