@@ -12,10 +12,12 @@
  *
  * The planner reproduces that pre-simulation: serial service per
  * dimension, op duration A + N*B, intra-dimension policy applied to
- * whatever is queued. Its output is consumed by the runtime's
- * DimensionEngine in enforced-order mode; because the planner is a
- * pure function of the (replicated) schedule and latency model, every
- * NPU derives the identical order — restoring deadlock freedom.
+ * whatever is queued. Its output is the enforced order of the per-NPU
+ * backend (npu/); because the planner is a pure function of the
+ * (replicated) schedule and latency model, every NPU derives the
+ * identical order — restoring deadlock freedom. CommRuntime instead
+ * derives its enforced orders by shadow-simulating its own engines,
+ * which is exact for a collective running alone.
  */
 
 #ifndef THEMIS_CORE_CONSISTENCY_PLANNER_HPP

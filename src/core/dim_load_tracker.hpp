@@ -32,7 +32,7 @@ class DimLoadTracker
      * Reset for a new collective (Algorithm 1 line 2).
      * @param type collective type whose A_K seeds the loads
      * @param init_with_fixed_delay when false, loads start at zero
-     *        (kept as an ablation knob; the paper initializes to A_K)
+     *        (the LP oracle's N*B loads; the paper initializes to A_K)
      */
     void reset(CollectiveType type, bool init_with_fixed_delay = true);
 

@@ -6,24 +6,6 @@
 
 namespace themis {
 
-namespace {
-
-// Doubles compare by bit pattern throughout: key equality must agree
-// with the bit-pattern hashes below (unordered_map contract).
-bool
-themisConfigEquals(const ThemisConfig& a, const ThemisConfig& b)
-{
-    return a.use_threshold == b.use_threshold &&
-           bitEquals(a.threshold_fraction, b.threshold_fraction) &&
-           a.init_loads_with_fixed_delay ==
-               b.init_loads_with_fixed_delay &&
-           a.account_ag_pass == b.account_ag_pass &&
-           a.carry_load_across_collectives ==
-               b.carry_load_across_collectives;
-}
-
-} // namespace
-
 PlanKey
 PlanKey::make(SchedulerKind scheduler, const ThemisConfig& themis,
               CollectiveType type, Bytes size, int chunks,
@@ -62,8 +44,11 @@ PlanKey::make(SchedulerKind scheduler, const ThemisConfig& themis,
 bool
 PlanKey::operator==(const PlanKey& o) const
 {
+    // Doubles compare by bit pattern, agreeing with planKeyHash.
     return scheduler == o.scheduler &&
-           themisConfigEquals(themis, o.themis) && type == o.type &&
+           themis.init_loads_with_fixed_delay ==
+               o.themis.init_loads_with_fixed_delay &&
+           type == o.type &&
            bitEquals(size, o.size) && chunks == o.chunks &&
            model_fingerprint == o.model_fingerprint &&
            flow_tier == o.flow_tier &&
@@ -82,7 +67,6 @@ bool
 OrderKey::operator==(const OrderKey& o) const
 {
     return plan == o.plan && intra_policy == o.intra_policy &&
-           planner == o.planner &&
            max_parallel_ops == o.max_parallel_ops &&
            bitEquals(latency_headroom, o.latency_headroom);
 }
@@ -92,13 +76,13 @@ planKeyHash(const PlanKey& k)
 {
     Fnv1a h;
     h.mix(static_cast<std::uint64_t>(k.scheduler));
-    h.mix(static_cast<std::uint64_t>(k.themis.use_threshold));
-    h.mix(k.themis.threshold_fraction);
+    // Retired knobs mix their paper values: golden fingerprints hold.
+    h.mix(std::uint64_t{1}); // use_threshold
+    h.mix(1.0 / 16.0);       // threshold probe fraction
     h.mix(static_cast<std::uint64_t>(
         k.themis.init_loads_with_fixed_delay));
-    h.mix(static_cast<std::uint64_t>(k.themis.account_ag_pass));
-    h.mix(static_cast<std::uint64_t>(
-        k.themis.carry_load_across_collectives));
+    h.mix(std::uint64_t{0}); // account_ag_pass
+    h.mix(std::uint64_t{0}); // carry_load_across_collectives
     h.mix(static_cast<std::uint64_t>(k.type));
     h.mix(k.size);
     h.mix(static_cast<std::uint64_t>(k.chunks));
@@ -131,7 +115,6 @@ PlanCache::OrderKeyHash::operator()(const OrderKey& k) const
     Fnv1a h;
     h.mix(PlanKeyHash{}(k.plan));
     h.mix(static_cast<std::uint64_t>(k.intra_policy));
-    h.mix(static_cast<std::uint64_t>(k.planner));
     h.mix(static_cast<std::uint64_t>(k.max_parallel_ops));
     h.mix(k.latency_headroom);
     return static_cast<std::size_t>(h.value());

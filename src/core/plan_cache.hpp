@@ -17,8 +17,8 @@
  *
  * Enforced per-dimension start orders (Sec 4.6.2) are memoized too:
  * they are a pure function of the plan plus the intra-dimension
- * policy, admission configuration and planner kind, and deriving them
- * costs a full shadow simulation per collective.
+ * policy and admission configuration, and deriving them costs a full
+ * shadow simulation per collective.
  *
  * Chunk-op *step plans* are memoized as well: the lumped
  * (fixed delay, wire bytes) aggregate of one phase of one chunk on
@@ -26,16 +26,12 @@
  * dimension parameters), and sessions re-derive it per stage per
  * iteration. Keys use LatencyModel::dimFingerprint(), so the memo is
  * shared across scopes and sweep cells that touch the same physical
- * dimension. Step plans are history-free, so even the carry-load
- * Themis configuration (whose chunk *schedules* bypass the cache)
- * uses this memo.
+ * dimension.
  *
  * The cache is thread-safe and read-mostly: one instance is shared
  * across sweep workers (std::shared_mutex; lookups take the shared
  * lock). Values are immutable shared_ptrs, so a worker can keep using
- * a plan while others insert. The only caching-unsound configuration
- * — a Themis scheduler carrying load state across collectives — is
- * rejected by the runtime (it bypasses the cache).
+ * a plan while others insert.
  */
 
 #ifndef THEMIS_CORE_PLAN_CACHE_HPP
@@ -119,9 +115,6 @@ struct OrderKey
 {
     PlanKey plan;
     IntraDimPolicy intra_policy = IntraDimPolicy::Fifo;
-
-    /** runtime::OrderPlanner as an int (core cannot see runtime). */
-    int planner = 0;
 
     /** AdmissionConfig fields (engine timing affects shadow orders). */
     int max_parallel_ops = 0;

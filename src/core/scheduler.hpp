@@ -74,37 +74,19 @@ class Scheduler
     }
 };
 
-/** Tunables of the Themis scheduler (defaults follow the paper). */
+/**
+ * Tunables of the Themis scheduler. Algorithm 1 itself is fixed: the
+ * tracker resets per collective, the threshold probe is chunkSize/16
+ * and the mirrored AG pass is not tracked.
+ */
 struct ThemisConfig
 {
     /**
-     * Robustness threshold (Algorithm 1 line 19): when the max-min
-     * load gap is below the predicted runtime of an RS/AG of
-     * chunkSize * threshold_fraction on the least-loaded dimension,
-     * fall back to the baseline order.
+     * Seed tracker loads with A_K (Sec 4.4). The paper's default; the
+     * LP oracle turns it off so the greedy balances the N*B loads its
+     * dual bound is stated on.
      */
-    bool use_threshold = true;
-
-    /** The paper sets the threshold probe size to chunkSize/16. */
-    double threshold_fraction = 1.0 / 16.0;
-
-    /** Seed tracker loads with A_K (Sec 4.4). Ablation knob. */
     bool init_loads_with_fixed_delay = true;
-
-    /**
-     * Account the mirrored AG pass when tracking All-Reduce loads.
-     * The paper's pseudocode tracks the RS pass only (the mirrored AG
-     * pass adds proportional load everywhere, so ranking is
-     * unaffected). Ablation knob.
-     */
-    bool account_ag_pass = false;
-
-    /**
-     * Keep tracker loads across consecutive collectives instead of
-     * resetting (Algorithm 1 resets; ablation knob for workloads that
-     * issue many back-to-back collectives).
-     */
-    bool carry_load_across_collectives = false;
 };
 
 /** Create a scheduler of @p kind over @p model (must outlive it). */

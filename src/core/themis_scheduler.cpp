@@ -49,23 +49,23 @@ ThemisScheduler::ThemisScheduler(const LatencyModel& model,
 
 std::vector<ChunkSchedule>
 ThemisScheduler::scheduleCollective(CollectiveType type, Bytes size,
+                                    int chunks)
+{
+    return schedule(type, size, chunks, /*use_threshold=*/true);
+}
+
+std::vector<ChunkSchedule>
+ThemisScheduler::scheduleCollective(CollectiveType type, Bytes size,
                                     int chunks, const FlowClass& flow)
 {
     // Urgent flows bypass the robustness threshold (Algorithm 1
     // line 19): the fallback exists to avoid oversubscribing
     // low-bandwidth dimensions when the gap is negligible, but an
     // urgent collective's own completion time dominates that concern.
-    // The threshold knob is restored afterwards so interleaved tiers
-    // see their own behavior.
     const bool bypass =
-        priority_aware_ && config_.use_threshold &&
+        priority_aware_ &&
         flow.tier >= static_cast<int>(PriorityTier::Urgent);
-    if (!bypass)
-        return scheduleCollective(type, size, chunks);
-    config_.use_threshold = false;
-    auto out = scheduleCollective(type, size, chunks);
-    config_.use_threshold = true;
-    return out;
+    return schedule(type, size, chunks, !bypass);
 }
 
 const std::vector<TimeNs>&
@@ -84,18 +84,18 @@ ThemisScheduler::threshold(CollectiveType type, Bytes chunk_size) const
                             ? Phase::AllGather
                             : Phase::ReduceScatter;
     const int d = tracker_.minLoadDim();
-    return model_.opTime(probe, chunk_size * config_.threshold_fraction,
-                         d);
+    return model_.opTime(probe, chunk_size / 16.0, d);
 }
 
 std::vector<int>
-ThemisScheduler::scheduleChunkPass(CollectiveType type, Bytes chunk_size)
+ThemisScheduler::scheduleChunkPass(CollectiveType type, Bytes chunk_size,
+                                   bool use_threshold)
 {
     // Lines 18-27 of Algorithm 1.
     const auto& loads = tracker_.loads();
     std::vector<int> order;
     const bool balanced =
-        config_.use_threshold &&
+        use_threshold &&
         (tracker_.maxLoad() - tracker_.minLoad() <
          threshold(type, chunk_size));
     if (type == CollectiveType::AllToAll) {
@@ -128,14 +128,11 @@ ThemisScheduler::scheduleChunkPass(CollectiveType type, Bytes chunk_size)
 }
 
 std::vector<ChunkSchedule>
-ThemisScheduler::scheduleCollective(CollectiveType type, Bytes size,
-                                    int chunks)
+ThemisScheduler::schedule(CollectiveType type, Bytes size, int chunks,
+                          bool use_threshold)
 {
-    // Algorithm 1, SCHEDULE_COLLECTIVE.
-    if (!config_.carry_load_across_collectives || !tracker_valid_) {
-        tracker_.reset(type, config_.init_loads_with_fixed_delay);
-        tracker_valid_ = true;
-    }
+    // Algorithm 1, SCHEDULE_COLLECTIVE (line 2 resets the tracker).
+    tracker_.reset(type, config_.init_loads_with_fixed_delay);
     const auto chunk_sizes = splitCollective(size, chunks);
 
     std::vector<ChunkSchedule> out;
@@ -148,20 +145,12 @@ ThemisScheduler::scheduleCollective(CollectiveType type, Bytes size,
             // Lines 7-9: schedule the RS pass, mirror it for AG.
             const auto rs =
                 scheduleChunkPass(CollectiveType::ReduceScatter,
-                                  chunk_sizes[i]);
-            std::vector<int> ag(rs.rbegin(), rs.rend());
-            if (config_.account_ag_pass) {
-                auto ag_stages =
-                    makeStages(CollectiveType::AllGather, {}, ag);
-                // The AG pass starts from the reduce-scattered size.
-                Bytes shard = chunk_sizes[i];
-                for (int d = 0; d < model_.numDims(); ++d)
-                    shard /= model_.dim(d).size;
-                tracker_.add(model_.stageLoads(shard, ag_stages));
-            }
+                                  chunk_sizes[i], use_threshold);
+            const std::vector<int> ag(rs.rbegin(), rs.rend());
             sched.stages = makeStages(type, rs, ag);
         } else {
-            const auto order = scheduleChunkPass(type, chunk_sizes[i]);
+            const auto order =
+                scheduleChunkPass(type, chunk_sizes[i], use_threshold);
             if (type == CollectiveType::AllGather)
                 sched.stages = makeStages(type, {}, order);
             else

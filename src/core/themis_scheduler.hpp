@@ -6,10 +6,11 @@
  * dimensions sorted by current tracked load (ascending for RS so the
  * biggest, first-stage volume lands on the lightest dimension;
  * descending for AG, whose volume grows towards the *last* stage).
- * For All-Reduce the AG pass mirrors the RS pass (line 8). A
- * robustness threshold (line 19) falls back to the baseline order
- * while the load gap is negligible, preventing oversubscription of
- * low-bandwidth dimensions.
+ * The tracker resets at every collective (line 2). For All-Reduce the
+ * AG pass mirrors the RS pass (line 8) and is not tracked. A
+ * robustness threshold (line 19, a chunkSize/16 probe) falls back to
+ * the baseline order while the load gap is negligible, preventing
+ * oversubscription of low-bandwidth dimensions.
  *
  * All-to-All is order-invariant (its per-dimension volume does not
  * depend on stage position), so A2A requests keep the baseline order.
@@ -31,7 +32,7 @@ class ThemisScheduler final : public Scheduler
     /**
      * @param model  latency model over the collective's dimensions
      *               (must outlive the scheduler)
-     * @param config paper-default tunables
+     * @param config A_K seeding of the tracker (paper default on)
      * @param priority_aware read the request's flow class: urgent
      *               tiers bypass the robustness threshold
      *               (SchedulerKind::ThemisPriority)
@@ -56,17 +57,22 @@ class ThemisScheduler final : public Scheduler
     /** Tracked loads after the last scheduleCollective() call. */
     const std::vector<TimeNs>& trackedLoads() const;
 
-    /** Active configuration. */
-    const ThemisConfig& config() const { return config_; }
-
   private:
+    /**
+     * Algorithm 1's SCHEDULE_COLLECTIVE. @p use_threshold is off only
+     * for urgent flows under the priority-aware variant.
+     */
+    std::vector<ChunkSchedule> schedule(CollectiveType type, Bytes size,
+                                        int chunks, bool use_threshold);
+
     /**
      * Schedule one chunk's RS-or-AG pass (the paper's
      * SCHEDULER.SCHEDULE): returns the dimension order and updates the
      * tracker with the pass's loads.
      */
     std::vector<int> scheduleChunkPass(CollectiveType type,
-                                       Bytes chunk_size);
+                                       Bytes chunk_size,
+                                       bool use_threshold);
 
     /** Threshold of Algorithm 1 line 19 for the current chunk size. */
     TimeNs threshold(CollectiveType type, Bytes chunk_size) const;
@@ -75,7 +81,6 @@ class ThemisScheduler final : public Scheduler
     ThemisConfig config_;
     bool priority_aware_;
     DimLoadTracker tracker_;
-    bool tracker_valid_ = false;
 };
 
 } // namespace themis

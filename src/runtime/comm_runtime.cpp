@@ -181,10 +181,10 @@ CommRuntime::replan()
     // post-fault plans come from the same cache entries (and are
     // bit-identical to) the pre-fault ones.
     capacity_fingerprint_ = clean ? 0 : h.value();
-    // Retire every scope: schedulers and planners hold references to
-    // their scope's model, and in-flight sessions hold pointers into
-    // it too, so states move to the graveyard until the fabric is
-    // quiescent. The next issue() rebuilds against the new factors.
+    // Retire every scope: schedulers hold references to their scope's
+    // model, and in-flight sessions hold pointers into it too, so
+    // states move to the graveyard until the fabric is quiescent. The
+    // next issue() rebuilds against the new factors.
     for (auto& [scope, state] : scopes_)
         retired_scopes_.push_back(std::move(state));
     scopes_.clear();
@@ -263,8 +263,6 @@ CommRuntime::scopeState(const std::vector<ScopeDim>& scope)
     }
     state.scheduler =
         makeScheduler(config_.scheduler, *state.model, config_.themis);
-    state.planner = std::make_unique<ConsistencyPlanner>(
-        *state.model, config_.intra_policy);
     return scopes_.emplace(scope, std::move(state)).first->second;
 }
 
@@ -274,26 +272,12 @@ CommRuntime::modelForScope(const std::vector<ScopeDim>& scope)
     return *scopeState(normalizeScope(scope)).model;
 }
 
-PlanCache*
-CommRuntime::usableCache() const
-{
-    if (config_.plan_cache == nullptr)
-        return nullptr;
-    // A Themis scheduler carrying load state across collectives makes
-    // plans history-dependent — the one configuration memoization
-    // cannot represent.
-    if ((config_.scheduler == SchedulerKind::Themis ||
-         config_.scheduler == SchedulerKind::ThemisPriority) &&
-        config_.themis.carry_load_across_collectives)
-        return nullptr;
-    return config_.plan_cache;
-}
-
 CollectiveSession::SchedulePtr
-CommRuntime::planFor(ScopeState& state, PlanCache* cache,
-                     const PlanKey& key, CollectiveType type,
-                     Bytes size, int chunks, const FlowClass& flow)
+CommRuntime::planFor(ScopeState& state, const PlanKey& key,
+                     CollectiveType type, Bytes size, int chunks,
+                     const FlowClass& flow)
 {
+    PlanCache* cache = config_.plan_cache;
     if (cache == nullptr) {
         return std::make_shared<const std::vector<ChunkSchedule>>(
             state.scheduler->scheduleCollective(type, size, chunks,
@@ -307,32 +291,23 @@ CommRuntime::planFor(ScopeState& state, PlanCache* cache,
 }
 
 PlanCache::OrderPtr
-CommRuntime::ordersFor(ScopeState& state, PlanCache* cache,
-                       const PlanKey& key,
+CommRuntime::ordersFor(ScopeState& state, const PlanKey& key,
                        const std::vector<ChunkSchedule>& schedules,
                        const std::vector<ScopeDim>& scope,
                        const FlowClass& flow)
 {
+    PlanCache* cache = config_.plan_cache;
     OrderKey order_key;
     if (cache != nullptr) {
         order_key.plan = key;
         order_key.intra_policy = config_.intra_policy;
-        order_key.planner = static_cast<int>(config_.order_planner);
         order_key.max_parallel_ops = config_.admission.max_parallel_ops;
         order_key.latency_headroom = config_.admission.latency_headroom;
         if (auto orders = cache->findOrders(order_key))
             return orders;
     }
-    std::vector<std::vector<OpKey>> orders;
-    if (config_.order_planner == OrderPlanner::ShadowSim) {
-        orders = shadowPlanOrders(key.type, schedules, scope,
-                                  *state.model, flow);
-    } else {
-        auto plan = state.planner->plan(schedules);
-        THEMIS_ASSERT(planIsDeadlockFree(schedules, plan),
-                      "consistency planner emitted a cyclic order");
-        orders = std::move(plan.order);
-    }
+    auto orders =
+        shadowPlanOrders(key.type, schedules, scope, *state.model, flow);
     if (cache != nullptr)
         return cache->storeOrders(order_key, std::move(orders));
     return std::make_shared<const std::vector<std::vector<OpKey>>>(
@@ -368,14 +343,13 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
     if (request.job > max_job_seen_)
         max_job_seen_ = request.job;
     live_jobs_.insert(request.job);
-    PlanCache* cache = usableCache();
     const PlanKey key =
         PlanKey::make(config_.scheduler, config_.themis, request.type,
                       size, chunks, state.model->fingerprint(),
                       flow.tier, config_.priority.fingerprint(),
                       capacity_fingerprint_);
     CollectiveSession::SchedulePtr schedules =
-        planFor(state, cache, key, request.type, size, chunks, flow);
+        planFor(state, key, request.type, size, chunks, flow);
 
     const int id = static_cast<int>(records_.size());
     Record rec;
@@ -423,7 +397,7 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
     if (config_.enforce_consistent_order) {
         // Pre-simulate to fix per-dimension start orders (Sec 4.6.2).
         const PlanCache::OrderPtr orders =
-            ordersFor(state, cache, key, *schedules, scope, flow);
+            ordersFor(state, key, *schedules, scope, flow);
         THEMIS_ASSERT(orders->size() == scope.size(),
                       "order plan rank mismatch");
         for (std::size_t local = 0; local < scope.size(); ++local) {
@@ -436,20 +410,18 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
     auto on_session_done = [this](CollectiveSession& s) {
         onCollectiveDone(s.id());
     };
-    // Step plans are history-free, so even configs whose chunk
-    // schedules bypass the cache (carry-load Themis) memoize them.
-    PlanCache* step_cache = config_.plan_cache;
     CollectiveSession* session;
     if (sessions_live_ < sessions_.size()) {
         // Epoch session pool: recycle the slot in place.
         session = sessions_[sessions_live_].get();
         session->reset(id, request.type, std::move(schedules), engines,
-                       *state.model, on_session_done, flow, step_cache);
+                       *state.model, on_session_done, flow,
+                       config_.plan_cache);
     } else {
         sessions_.push_back(std::make_unique<CollectiveSession>(
             id, request.type, std::move(schedules), engines,
             *state.model, queue_ref_, on_session_done, flow,
-            step_cache));
+            config_.plan_cache));
         session = sessions_.back().get();
     }
     ++sessions_live_;
@@ -509,13 +481,6 @@ CommRuntime::finishIterationEpoch()
     s.duration = queue_ref_.now();
     s.active_time = utilization_->activeTime();
     s.collectives = static_cast<int>(records_.size());
-    // A Themis scheduler carrying load across collectives keeps
-    // hidden history the fingerprint cannot see; such epochs must be
-    // simulated, never replayed.
-    s.replay_safe =
-        !((config_.scheduler == SchedulerKind::Themis ||
-           config_.scheduler == SchedulerKind::ThemisPriority) &&
-          config_.themis.carry_load_across_collectives);
     int num_classes = 1;
     for (std::size_t d = 0; d < engines_.size(); ++d) {
         sim::SharedChannel& ch = engines_[d]->channel();
@@ -600,7 +565,6 @@ CommRuntime::EpochStats::identicalTo(const EpochStats& o) const
         !bitEquals(duration, o.duration) ||
         !bitEquals(active_time, o.active_time) ||
         collectives != o.collectives || ops != o.ops ||
-        replay_safe != o.replay_safe ||
         dim_bytes.size() != o.dim_bytes.size() ||
         class_bytes.size() != o.class_bytes.size())
         return false;

@@ -35,24 +35,6 @@
 
 namespace themis::runtime {
 
-/** How enforced per-dimension orders are derived (Sec 4.6.2). */
-enum class OrderPlanner
-{
-    /**
-     * Replay the collective through a private shadow simulation of
-     * the same engines and record op start orders — exact for a
-     * collective running alone.
-     */
-    ShadowSim,
-
-    /**
-     * The paper's fast pre-simulation: serial service per dimension
-     * with the latency model ("does not need to consider detailed
-     * network modeling"). Approximate but cheap.
-     */
-    FastSerial,
-};
-
 /**
  * Fault-aware adaptive re-planning knobs. When enabled (and a
  * FaultTimeline is armed), every capacity-changing event the
@@ -99,22 +81,19 @@ struct RuntimeConfig
 
     /**
      * Pre-simulate and enforce per-dimension chunk-op orders
-     * (Sec 4.6.2). Identical results on the symmetric timing model;
-     * required for correctness on real skewed systems.
+     * (Sec 4.6.2): a private shadow simulation of the same engines
+     * records each dimension's op start order. Identical results on
+     * the symmetric timing model; required for correctness on real
+     * skewed systems.
      */
     bool enforce_consistent_order = false;
-
-    /** Planner used when enforce_consistent_order is set. */
-    OrderPlanner order_planner = OrderPlanner::ShadowSim;
 
     /**
      * Shared plan-memoization cache (core/plan_cache.hpp); nullptr
      * disables memoization. Not owned — the caller keeps it alive for
      * the runtime's lifetime and may share one instance across the
      * runtimes of a whole sweep (it is thread-safe). Results are
-     * bit-identical with and without a cache; the only configuration
-     * whose plans are history-dependent (Themis with
-     * carry_load_across_collectives) bypasses it automatically.
+     * bit-identical with and without a cache.
      */
     PlanCache* plan_cache = nullptr;
 
@@ -459,14 +438,6 @@ class CommRuntime
         /** Chunk ops completed across all engines. */
         std::uint64_t ops = 0;
 
-        /**
-         * False when the scheduler carries load state across
-         * collectives (history-dependent plans): such epochs must
-         * not be replayed analytically even if fingerprints repeat,
-         * because the scheduler's hidden state is not fingerprinted.
-         */
-        bool replay_safe = true;
-
         /** Bytes progressed per dimension during the epoch. */
         std::vector<Bytes> dim_bytes;
 
@@ -518,7 +489,6 @@ class CommRuntime
     {
         std::unique_ptr<LatencyModel> model;
         std::unique_ptr<Scheduler> scheduler;
-        std::unique_ptr<ConsistencyPlanner> planner;
     };
 
     ScopeState& scopeState(const std::vector<ScopeDim>& scope);
@@ -533,20 +503,16 @@ class CommRuntime
      *  and retire every scope so the next issue re-plans. */
     void replan();
 
-    /** The plan cache, or nullptr when this config cannot use one. */
-    PlanCache* usableCache() const;
     /**
-     * Derive (or fetch, when @p cache is non-null) the chunk
-     * schedules of one request. @p key is the request's plan-cache
-     * key (ignored when @p cache is null).
+     * Derive (or fetch, when RuntimeConfig::plan_cache is set) the
+     * chunk schedules of one request; @p key is its plan-cache key.
      */
     CollectiveSession::SchedulePtr
-    planFor(ScopeState& state, PlanCache* cache, const PlanKey& key,
-            CollectiveType type, Bytes size, int chunks,
-            const FlowClass& flow);
+    planFor(ScopeState& state, const PlanKey& key, CollectiveType type,
+            Bytes size, int chunks, const FlowClass& flow);
     /** Derive (or fetch) enforced per-dimension orders (Sec 4.6.2). */
     PlanCache::OrderPtr
-    ordersFor(ScopeState& state, PlanCache* cache, const PlanKey& key,
+    ordersFor(ScopeState& state, const PlanKey& key,
               const std::vector<ChunkSchedule>& schedules,
               const std::vector<ScopeDim>& scope,
               const FlowClass& flow);

@@ -278,21 +278,13 @@ runConverged(runtime::CommRuntime& comm,
     };
 
     // Smallest candidate whose last (confirm_iterations - 1) cycles
-    // each bit-matched the cycle before them, with every epoch of the
-    // confirming cycle replay-safe. For a single-cadence mix (k = 1)
-    // this is exactly the original period-1 condition.
-    const auto confirmedCycle = [&](long long round) -> long long {
+    // each bit-matched the cycle before them. For a single-cadence mix
+    // (k = 1) this is exactly the original period-1 condition.
+    const auto confirmedCycle = [&]() -> long long {
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             const long long k = candidates[c];
-            if (streaks[c] <
-                static_cast<long long>(eff.confirm_iterations - 1) *
-                    k)
-                continue;
-            bool safe = true;
-            for (long long m = 0; m < k && safe; ++m)
-                safe = ring[static_cast<std::size_t>(round - m) % cap]
-                           .s.replay_safe;
-            if (safe)
+            if (streaks[c] >=
+                static_cast<long long>(eff.confirm_iterations - 1) * k)
                 return k;
         }
         return 0;
@@ -403,7 +395,7 @@ runConverged(runtime::CommRuntime& comm,
         const auto [b, s] = simulate_epoch(i);
         record(i, b, s);
 
-        const long long k = confirmedCycle(i);
+        const long long k = confirmedCycle();
         if (k > 0 && r.steady_at < 0) {
             r.steady_at = static_cast<int>(i);
             r.steady_fingerprint = s.fingerprint;

@@ -57,24 +57,6 @@ TEST(CommRuntime, DefaultChunksApplied)
               28u);
 }
 
-TEST(CommRuntime, PerScopeSchedulerStateIsIsolated)
-{
-    // Carry-over load tracking must be per scope: traffic on the MP
-    // scope must not perturb the DP scope's scheduler.
-    sim::EventQueue queue;
-    auto cfg = themisScfConfig();
-    cfg.themis.carry_load_across_collectives = true;
-    CommRuntime comm(queue, presets::make3DSwSwSwHomo(), cfg);
-    const std::vector<ScopeDim> mp{ScopeDim{0, 0}, ScopeDim{1, 0}};
-    const std::vector<ScopeDim> dp{ScopeDim{2, 0}};
-    comm.issue(request(CollectiveType::AllReduce, 8.0e6, 4, mp));
-    comm.issue(request(CollectiveType::AllReduce, 8.0e6, 4, dp));
-    queue.run();
-    EXPECT_EQ(comm.records().size(), 2u);
-    for (const auto& rec : comm.records())
-        EXPECT_TRUE(rec.done());
-}
-
 TEST(CommRuntime, OverlappingScopedCollectivesShareOneWindow)
 {
     sim::EventQueue queue;
@@ -204,23 +186,16 @@ TEST(CommRuntime, IndexedAndLegacyEngineSelectionAgree)
 TEST(CommRuntime, IndexedSelectionHonorsEnforcedOrders)
 {
     // Enforced orders park and promote ops in the ready set; the
-    // results must match the retired linear scan's, recorded bit for
+    // result must match the retired linear scan's, recorded bit for
     // bit.
-    const std::pair<OrderPlanner, TimeNs> cases[] = {
-        {OrderPlanner::ShadowSim, 0x1.56296a9555554p+21},
-        {OrderPlanner::FastSerial, 0x1.4e85a36aaaaabp+21},
-    };
-    for (const auto& [planner, want] : cases) {
-        RuntimeConfig cfg = themisScfConfig();
-        cfg.enforce_consistent_order = true;
-        cfg.order_planner = planner;
-        sim::EventQueue queue;
-        CommRuntime comm(queue, presets::make3DSwSwSwHetero(), cfg);
-        const int id =
-            comm.issue(request(CollectiveType::AllReduce, 4.0e8, 24));
-        queue.run();
-        EXPECT_EQ(comm.record(id).duration(), want);
-    }
+    RuntimeConfig cfg = themisScfConfig();
+    cfg.enforce_consistent_order = true;
+    sim::EventQueue queue;
+    CommRuntime comm(queue, presets::make3DSwSwSwHetero(), cfg);
+    const int id =
+        comm.issue(request(CollectiveType::AllReduce, 4.0e8, 24));
+    queue.run();
+    EXPECT_EQ(comm.record(id).duration(), 0x1.56296a9555554p+21);
 }
 
 } // namespace

@@ -165,20 +165,6 @@ TEST(Convergence, BaselineSchedulerReachesSteadyStateToo)
     EXPECT_GT(r.replayed_iterations, 0);
 }
 
-TEST(Convergence, CarryLoadConfigNeverReplays)
-{
-    runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-    cfg.themis.carry_load_across_collectives = true;
-    ConvergenceOptions opts;
-    opts.iterations = 6;
-    const auto r = runModel(smallHybridModel(), presets::make2DSwSw(),
-                            opts, cfg);
-    // History-dependent plans: every iteration must be simulated.
-    EXPECT_EQ(r.simulated_iterations, 6);
-    EXPECT_EQ(r.replayed_iterations, 0);
-    EXPECT_EQ(r.steady_at, -1);
-}
-
 TEST(Convergence, SessionPoolAndArenaStopGrowingAtSteadyState)
 {
     sim::EventQueue queue;

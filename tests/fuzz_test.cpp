@@ -186,7 +186,6 @@ TEST_P(RuntimeFuzz, ShadowEnforcementMatchesPolicy)
     auto run = [&](bool enforce) {
         auto cfg = runtime::themisScfConfig();
         cfg.enforce_consistent_order = enforce;
-        cfg.order_planner = runtime::OrderPlanner::ShadowSim;
         sim::EventQueue queue;
         runtime::CommRuntime comm(queue, topo, cfg);
         const int id = comm.issue(req);

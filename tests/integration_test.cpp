@@ -109,25 +109,9 @@ TEST_P(AllPresets, ShadowSimEnforcementMatchesPolicyExactly)
     auto cfg = runtime::themisScfConfig();
     const auto policy = runAllReduce(topo_, cfg, 2.0e8);
     cfg.enforce_consistent_order = true;
-    cfg.order_planner = runtime::OrderPlanner::ShadowSim;
     const auto enforced = runAllReduce(topo_, cfg, 2.0e8);
     EXPECT_NEAR(enforced.time, policy.time, 1e-6 * policy.time)
         << topo_.name();
-}
-
-TEST_P(AllPresets, FastSerialEnforcementStaysCompetitive)
-{
-    // The paper's fast pre-simulation ignores parallel admission
-    // ("does not need to consider detailed network modeling"); its
-    // enforced order may cost some head-of-line blocking but must
-    // remain within a modest factor of the free-running policy.
-    auto cfg = runtime::themisScfConfig();
-    const auto policy = runAllReduce(topo_, cfg, 2.0e8);
-    cfg.enforce_consistent_order = true;
-    cfg.order_planner = runtime::OrderPlanner::FastSerial;
-    const auto enforced = runAllReduce(topo_, cfg, 2.0e8);
-    EXPECT_LE(enforced.time, policy.time * 1.75) << topo_.name();
-    EXPECT_GE(enforced.time, policy.time * 0.70) << topo_.name();
 }
 
 TEST_P(AllPresets, LargerCollectivesRaiseUtilization)

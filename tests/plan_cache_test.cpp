@@ -3,8 +3,7 @@
  * Plan-cache soundness: cached and cold runs must produce bit-identical
  * chunk schedules and bit-identical simulation results across every
  * scheduler and collective type; keys must separate everything plans
- * depend on and nothing they don't; the history-dependent Themis
- * configuration must bypass the cache.
+ * depend on and nothing they don't.
  */
 
 #include <gtest/gtest.h>
@@ -89,8 +88,7 @@ TEST(PlanKey, BaselineNormalizesSchedulerConfig)
 {
     ThemisConfig a;
     ThemisConfig b;
-    b.threshold_fraction = 0.5;
-    b.use_threshold = false;
+    b.init_loads_with_fixed_delay = false;
     // The baseline scheduler ignores ThemisConfig, so both keys must
     // collapse onto one cache entry...
     EXPECT_EQ(PlanKey::make(SchedulerKind::Baseline, a,
@@ -227,58 +225,20 @@ TEST(PlanCache, TrainingIterationBitIdenticalWithSharedCache)
 TEST(PlanCache, EnforcedOrdersCachedAndSound)
 {
     const auto topo = presets::make3DSwSwSwHetero();
-    for (const auto planner :
-         {runtime::OrderPlanner::ShadowSim,
-          runtime::OrderPlanner::FastSerial}) {
-        runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-        cfg.enforce_consistent_order = true;
-        cfg.order_planner = planner;
-        PlanCache cache;
-        const auto cold =
-            simulate(topo, cfg, CollectiveType::AllReduce, nullptr);
-        const auto miss =
-            simulate(topo, cfg, CollectiveType::AllReduce, &cache);
-        const auto hit =
-            simulate(topo, cfg, CollectiveType::AllReduce, &cache);
-        EXPECT_TRUE(cold == miss);
-        EXPECT_TRUE(cold == hit);
-        EXPECT_EQ(cache.orderCount(), 1u);
-        const auto stats = cache.stats();
-        EXPECT_EQ(stats.order_hits, 1u);
-        EXPECT_EQ(stats.order_misses, 1u);
-    }
-}
-
-TEST(PlanCache, CarryLoadAcrossCollectivesBypassesCache)
-{
-    // With carry_load_across_collectives the second collective's plan
-    // depends on the first — memoization would be unsound, so the
-    // runtime must bypass the cache and reproduce cache-off behavior.
-    const auto topo = presets::make3DSwSwSwHetero();
-    auto run = [&](PlanCache* cache) {
-        runtime::RuntimeConfig cfg = runtime::themisScfConfig();
-        cfg.themis.carry_load_across_collectives = true;
-        cfg.plan_cache = cache;
-        sim::EventQueue queue;
-        runtime::CommRuntime comm(queue, topo, cfg);
-        CollectiveRequest req;
-        req.size = 2.0e8;
-        req.chunks = 8;
-        const int first = comm.issue(req);
-        queue.run();
-        const int second = comm.issue(req);
-        queue.run();
-        return std::pair<TimeNs, TimeNs>(
-            comm.record(first).duration(),
-            comm.record(second).duration());
-    };
+    runtime::RuntimeConfig cfg = runtime::themisScfConfig();
+    cfg.enforce_consistent_order = true;
     PlanCache cache;
-    const auto without = run(nullptr);
-    const auto with = run(&cache);
-    EXPECT_EQ(without.first, with.first);
-    EXPECT_EQ(without.second, with.second);
-    EXPECT_EQ(cache.planCount(), 0u);
-    EXPECT_EQ(cache.stats().plan_misses, 0u);
+    const auto cold =
+        simulate(topo, cfg, CollectiveType::AllReduce, nullptr);
+    const auto miss =
+        simulate(topo, cfg, CollectiveType::AllReduce, &cache);
+    const auto hit = simulate(topo, cfg, CollectiveType::AllReduce, &cache);
+    EXPECT_TRUE(cold == miss);
+    EXPECT_TRUE(cold == hit);
+    EXPECT_EQ(cache.orderCount(), 1u);
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.order_hits, 1u);
+    EXPECT_EQ(stats.order_misses, 1u);
 }
 
 TEST(PlanCache, SharedAcrossSweepWorkersDeterministic)

@@ -157,30 +157,19 @@ TEST(ThemisSched, BalancesTrackedLoads)
     EXPECT_GT((bmax - bmin) / bmax, 0.90);
 }
 
-TEST(ThemisSched, ThresholdRevertsToBaselineWhenBalanced)
-{
-    // A huge threshold keeps every chunk on the baseline schedule.
-    const auto model = fig5Model();
-    ThemisConfig cfg;
-    cfg.threshold_fraction = 1.0e6; // absurdly large probe
-    ThemisScheduler sched(model, cfg);
-    const auto out =
-        sched.scheduleCollective(CollectiveType::AllReduce, 256.0e6, 4);
-    for (const auto& c : out)
-        EXPECT_EQ(rsOrder(c), (std::vector<int>{0, 1}));
-}
-
 TEST(ThemisSched, DisabledThresholdSortsFromChunkOne)
 {
-    // Without the threshold, the very first chunk sorts by the A_K
-    // seeded loads instead of following the baseline.
+    // Without the threshold (an urgent flow under the priority-aware
+    // variant), the very first chunk sorts by the A_K seeded loads
+    // instead of following the baseline.
     const auto model =
         LatencyModel::fromTopology(presets::make3DSwSwSwHomo());
-    ThemisConfig cfg;
-    cfg.use_threshold = false;
-    ThemisScheduler sched(model, cfg);
-    const auto out =
-        sched.scheduleCollective(CollectiveType::AllReduce, 1.0e9, 64);
+    ThemisScheduler sched(model, ThemisConfig{},
+                          /*priority_aware=*/true);
+    const FlowClass urgent{static_cast<int>(PriorityTier::Urgent),
+                           4.0};
+    const auto out = sched.scheduleCollective(CollectiveType::AllReduce,
+                                              1.0e9, 64, urgent);
     // A_K(AR): dim1 = 8*700ns, dim2/3 = 6*700ns / 6*1700ns -> dim2 is
     // the least loaded at reset, so chunk 1 starts there.
     EXPECT_EQ(rsOrder(out[0])[0], 1);
@@ -247,23 +236,6 @@ TEST(ThemisSched, TrackerResetsBetweenCollectives)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(first[i].stages, second[i].stages) << "chunk " << i;
-}
-
-TEST(ThemisSched, CarryLoadAblationAccumulatesAcrossCollectives)
-{
-    const auto model = fig5Model();
-    ThemisConfig carry_cfg;
-    carry_cfg.carry_load_across_collectives = true;
-    ThemisScheduler carry(model, carry_cfg);
-    ThemisScheduler reset(model);
-    for (int i = 0; i < 2; ++i) {
-        carry.scheduleCollective(CollectiveType::AllReduce, 256.0e6, 4);
-        reset.scheduleCollective(CollectiveType::AllReduce, 256.0e6, 4);
-    }
-    // Carried tracker holds both collectives' loads; the paper's
-    // resetting tracker only the last one's.
-    EXPECT_NEAR(carry.trackedLoads()[0], 2.0 * reset.trackedLoads()[0],
-                1e-3 * carry.trackedLoads()[0]);
 }
 
 TEST(SchedulerFactory, MakesBothKinds)
