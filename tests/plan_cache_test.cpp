@@ -239,6 +239,36 @@ TEST(PlanCache, EnforcedOrdersCachedAndSound)
     const auto stats = cache.stats();
     EXPECT_EQ(stats.order_hits, 1u);
     EXPECT_EQ(stats.order_misses, 1u);
+
+    // The same request issued at t > 0, into a fresh cache, derives
+    // its orders away from the pristine t = 0 fabric: they must equal
+    // the ones the lone t = 0 run stored.
+    PlanCache later;
+    cfg.plan_cache = &later;
+    sim::EventQueue queue;
+    runtime::CommRuntime comm(queue, topo, cfg);
+    CollectiveRequest req;
+    req.size = 3.0e8;
+    req.chunks = 16;
+    queue.schedule(1.0e3, [&] { comm.issue(req); });
+    queue.run();
+    EXPECT_EQ(later.orderCount(), 1u);
+    EXPECT_EQ(later.stats().order_misses, 1u);
+    const LatencyModel& model = comm.modelForScope({});
+    OrderKey key;
+    key.plan = PlanKey::make(
+        cfg.scheduler, cfg.themis, req.type,
+        schedulableSize(req.type, req.size, model.dimSizes()), req.chunks,
+        model.fingerprint(), cfg.priority.flowFor(req.priority_tier).tier,
+        cfg.priority.fingerprint());
+    key.intra_policy = cfg.intra_policy;
+    key.max_parallel_ops = cfg.admission.max_parallel_ops;
+    key.latency_headroom = cfg.admission.latency_headroom;
+    const PlanCache::OrderPtr lone = cache.findOrders(key);
+    const PlanCache::OrderPtr eager = later.findOrders(key);
+    ASSERT_NE(lone, nullptr);
+    ASSERT_NE(eager, nullptr);
+    EXPECT_TRUE(*lone == *eager);
 }
 
 TEST(PlanCache, SharedAcrossSweepWorkersDeterministic)
