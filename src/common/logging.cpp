@@ -12,12 +12,6 @@ Logger::setLevel(LogLevel level)
     global_level_ = level;
 }
 
-LogLevel
-Logger::level()
-{
-    return global_level_;
-}
-
 void
 Logger::write(LogLevel level, const std::string& msg)
 {

@@ -23,8 +23,9 @@ class Logger
     /** Set the global threshold; messages below it are dropped. */
     static void setLevel(LogLevel level);
 
-    /** Current global threshold. */
-    static LogLevel level();
+    /** Current global threshold (inline: hot paths test it before
+     *  building any message). */
+    static LogLevel level() { return global_level_; }
 
     /** Emit one message at @p level with a severity prefix. */
     static void write(LogLevel level, const std::string& msg);

@@ -16,8 +16,9 @@
  * backend (npu/); because the planner is a pure function of the
  * (replicated) schedule and latency model, every NPU derives the
  * identical order — restoring deadlock freedom. CommRuntime instead
- * derives its enforced orders by shadow-simulating its own engines,
- * which is exact for a collective running alone.
+ * takes its enforced orders from its own engines running the
+ * collective alone: it observes them on the real run when that run
+ * starts on a pristine fabric, and shadow-simulates it otherwise.
  */
 
 #ifndef THEMIS_CORE_CONSISTENCY_PLANNER_HPP

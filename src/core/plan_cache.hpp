@@ -17,8 +17,9 @@
  *
  * Enforced per-dimension start orders (Sec 4.6.2) are memoized too:
  * they are a pure function of the plan plus the intra-dimension
- * policy and admission configuration, and deriving them costs a full
- * shadow simulation per collective.
+ * policy and admission configuration. The runtime stores either the
+ * orders it observed on a lone run or those of a shadow simulation
+ * (a full simulation of the collective), and a hit spares it both.
  *
  * Chunk-op *step plans* are memoized as well: the lumped
  * (fixed delay, wire bytes) aggregate of one phase of one chunk on

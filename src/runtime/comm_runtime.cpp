@@ -291,27 +291,76 @@ CommRuntime::planFor(ScopeState& state, const PlanKey& key,
 }
 
 PlanCache::OrderPtr
-CommRuntime::ordersFor(ScopeState& state, const PlanKey& key,
-                       const std::vector<ChunkSchedule>& schedules,
-                       const std::vector<ScopeDim>& scope,
-                       const FlowClass& flow)
+CommRuntime::keepOrders(const OrderKey& key,
+                        std::vector<std::vector<OpKey>> orders)
 {
-    PlanCache* cache = config_.plan_cache;
-    OrderKey order_key;
-    if (cache != nullptr) {
-        order_key.plan = key;
-        order_key.intra_policy = config_.intra_policy;
-        order_key.max_parallel_ops = config_.admission.max_parallel_ops;
-        order_key.latency_headroom = config_.admission.latency_headroom;
-        if (auto orders = cache->findOrders(order_key))
-            return orders;
-    }
-    auto orders =
-        shadowPlanOrders(key.type, schedules, scope, *state.model, flow);
-    if (cache != nullptr)
-        return cache->storeOrders(order_key, std::move(orders));
+    if (config_.plan_cache != nullptr)
+        return config_.plan_cache->storeOrders(key, std::move(orders));
     return std::make_shared<const std::vector<std::vector<OpKey>>>(
         std::move(orders));
+}
+
+bool
+CommRuntime::pristine(const std::vector<DimensionEngine*>& engines) const
+{
+    // Not now() > 0: the same float offsets from another origin can
+    // split ties differently from the shadow's t = 0 run.
+    if (fault_driver_ || outstanding_ != 0 || queue_ref_.now() != 0.0)
+        return false;
+    for (const DimensionEngine* e : engines)
+        if (e->queuedCount() != 0 || e->activeCount() != 0 ||
+            e->bypassStreak() != 0 || !e->channel().atVirtualOrigin() ||
+            e->channel().capacity() != e->config().bandwidth())
+            return false;
+    return true;
+}
+
+void
+CommRuntime::enforceOrders(int id, const PlanKey& key,
+                           const CollectiveSession::SchedulePtr& schedules,
+                           const LatencyModel& model,
+                           const std::vector<ScopeDim>& scope,
+                           const FlowClass& flow,
+                           const std::vector<DimensionEngine*>& engines)
+{
+    OrderKey order_key;
+    order_key.plan = key;
+    order_key.intra_policy = config_.intra_policy;
+    order_key.max_parallel_ops = config_.admission.max_parallel_ops;
+    order_key.latency_headroom = config_.admission.latency_headroom;
+    PlanCache::OrderPtr orders;
+    if (config_.plan_cache != nullptr)
+        orders = config_.plan_cache->findOrders(order_key);
+    if (orders == nullptr && pristine(engines)) {
+        // The real run is the shadow simulation: let the engines
+        // record its start orders as it goes.
+        observed_ = Observation{id, order_key, schedules, &model};
+        for (DimensionEngine* engine : engines)
+            engine->observeOrder(id);
+        return;
+    }
+    if (orders == nullptr)
+        orders = keepOrders(order_key,
+                            shadowPlanOrders(key.type, *schedules, scope,
+                                             model, flow));
+    THEMIS_ASSERT(orders->size() == scope.size(),
+                  "order plan rank mismatch");
+    for (std::size_t local = 0; local < scope.size(); ++local)
+        engines[local]->setEnforcedOrder(id, (*orders)[local]);
+}
+
+void
+CommRuntime::materializeObserved()
+{
+    const Record& rec = records_[static_cast<std::size_t>(observed_.id)];
+    const PlanCache::OrderPtr orders = keepOrders(
+        observed_.key,
+        shadowPlanOrders(rec.type, *observed_.schedules, rec.scope,
+                         *observed_.model, rec.flow));
+    for (std::size_t local = 0; local < rec.scope.size(); ++local)
+        engines_[static_cast<std::size_t>(rec.scope[local].dim)]
+            ->setEnforcedOrder(rec.id, (*orders)[local]);
+    observed_ = Observation{};
 }
 
 int
@@ -395,14 +444,12 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
         engines.push_back(engines_[static_cast<std::size_t>(s.dim)].get());
 
     if (config_.enforce_consistent_order) {
-        // Pre-simulate to fix per-dimension start orders (Sec 4.6.2).
-        const PlanCache::OrderPtr orders =
-            ordersFor(state, key, *schedules, scope, flow);
-        THEMIS_ASSERT(orders->size() == scope.size(),
-                      "order plan rank mismatch");
-        for (std::size_t local = 0; local < scope.size(); ++local) {
-            engines[local]->setEnforcedOrder(id, (*orders)[local]);
-        }
+        // This issue is the only thing that can perturb an observed
+        // collective, so its orders are fixed before anything starts.
+        if (observed_.id >= 0)
+            materializeObserved();
+        enforceOrders(id, key, schedules, *state.model, scope, flow,
+                      engines);
     }
 
     ++outstanding_;
@@ -604,6 +651,20 @@ CommRuntime::onCollectiveDone(int id)
         retired_scopes_.clear();
     }
     if (config_.enforce_consistent_order) {
+        if (id == observed_.id) {
+            // Nothing perturbed it: the observed starts are the orders
+            // a shadow simulation would have derived.
+            if (config_.plan_cache != nullptr) {
+                std::vector<std::vector<OpKey>> orders;
+                for (const auto& s : rec.scope)
+                    orders.push_back(
+                        engines_[static_cast<std::size_t>(s.dim)]
+                            ->takeObservedOrder(id));
+                config_.plan_cache->storeOrders(observed_.key,
+                                                std::move(orders));
+            }
+            observed_ = Observation{};
+        }
         for (const auto& s : rec.scope) {
             engines_[static_cast<std::size_t>(s.dim)]
                 ->clearEnforcedOrder(id);

@@ -80,11 +80,18 @@ struct RuntimeConfig
     AdmissionConfig admission{};
 
     /**
-     * Pre-simulate and enforce per-dimension chunk-op orders
-     * (Sec 4.6.2): a private shadow simulation of the same engines
-     * records each dimension's op start order. Identical results on
-     * the symmetric timing model; required for correctness on real
-     * skewed systems.
+     * Fix and enforce per-dimension chunk-op start orders
+     * (Sec 4.6.2): each dimension starts a collective's ops in the
+     * order the collective would take running alone on a fresh
+     * fabric. A collective issued at t = 0 onto an idle, fault-free
+     * fabric *is* that run, so its engines observe the order as it
+     * happens (and the plan cache stores it at completion); any
+     * other issue derives the order by a private shadow simulation
+     * first, and so does a later issue that overlaps an observed
+     * collective, which then follows the derived order from its
+     * observed prefix on. A lone collective runs exactly as without
+     * enforcement; overlapping collectives do not, because each one
+     * keeps its lone order instead of interleaving by policy.
      */
     bool enforce_consistent_order = false;
 
@@ -510,12 +517,37 @@ class CommRuntime
     CollectiveSession::SchedulePtr
     planFor(ScopeState& state, const PlanKey& key, CollectiveType type,
             Bytes size, int chunks, const FlowClass& flow);
-    /** Derive (or fetch) enforced per-dimension orders (Sec 4.6.2). */
-    PlanCache::OrderPtr
-    ordersFor(ScopeState& state, const PlanKey& key,
-              const std::vector<ChunkSchedule>& schedules,
-              const std::vector<ScopeDim>& scope,
-              const FlowClass& flow);
+    /**
+     * Install collective @p id's enforced per-dimension orders
+     * (Sec 4.6.2) on @p engines: a cached plan, an observation when
+     * the fabric is exactly where a shadow simulation would start
+     * (see pristine()), else a shadow simulation's.
+     */
+    void enforceOrders(int id, const PlanKey& key,
+                       const CollectiveSession::SchedulePtr& schedules,
+                       const LatencyModel& model,
+                       const std::vector<ScopeDim>& scope,
+                       const FlowClass& flow,
+                       const std::vector<DimensionEngine*>& engines);
+
+    /**
+     * True when a collective issued now on @p engines runs exactly as
+     * its shadow simulation would: no fault driver, nothing in flight,
+     * the clock at zero, and every engine idle with no anti-starvation
+     * debt on a channel at its virtual origin and configured capacity.
+     */
+    bool pristine(const std::vector<DimensionEngine*>& engines) const;
+
+    /**
+     * Fix the observed collective's orders before a second issue can
+     * perturb it: shadow-simulate them, and have its engines adopt
+     * them past the starts already observed.
+     */
+    void materializeObserved();
+
+    /** Store @p orders under @p key in the plan cache, if any. */
+    PlanCache::OrderPtr keepOrders(const OrderKey& key,
+                                   std::vector<std::vector<OpKey>> orders);
 
     /**
      * Replay @p schedules through a private shadow simulation and
@@ -545,6 +577,21 @@ class CommRuntime
     std::vector<DimensionEngine*> engine_scratch_;
     std::vector<Record> records_;
     std::map<int, Callback> callbacks_;
+
+    /**
+     * The enforced collective whose engines observe its start orders
+     * instead of following shadow-simulated ones (id -1: none). At
+     * most one: it was issued alone, and any later issue while it
+     * runs materializes its orders first.
+     */
+    struct Observation
+    {
+        int id = -1;
+        OrderKey key;
+        CollectiveSession::SchedulePtr schedules;
+        const LatencyModel* model = nullptr;
+    };
+    Observation observed_;
 
     int outstanding_ = 0;
     stats::ActivityTimeline activity_;

@@ -168,9 +168,22 @@ DimensionEngine::setEnforcedOrder(int collective_id,
 {
     // Replacing an existing order first releases its parked ops back
     // into the ready set so none are stranded; the re-scan below
-    // re-parks them under the new order.
+    // re-parks them under the new order. An observed order has
+    // parked nothing: the new order continues from its starts.
+    std::size_t cursor = 0;
     auto old = enforced_.find(collective_id);
     if (old != enforced_.end()) {
+        if (old->second.observing) {
+            const std::vector<OpKey>& seen = old->second.order;
+            THEMIS_ASSERT(seen.size() <= order.size() &&
+                              std::equal(seen.begin(), seen.end(),
+                                         order.begin()),
+                          "observed starts on dim "
+                              << global_dim_
+                              << " are not a prefix of the enforced "
+                                 "order");
+            cursor = seen.size();
+        }
         for (const auto& [key, seq] : old->second.parked) {
             auto pit = pending_.find(seq);
             THEMIS_ASSERT(pit != pending_.end(),
@@ -181,6 +194,7 @@ DimensionEngine::setEnforcedOrder(int collective_id,
     }
     EnforcedOrder& eo = enforced_[collective_id];
     eo.order = std::move(order);
+    eo.next = cursor;
     // Ops of this collective may already be pending (normally the
     // order is installed before the session starts, so this loop sees
     // an empty set): park every one that is not the expected head.
@@ -199,6 +213,29 @@ DimensionEngine::setEnforcedOrder(int collective_id,
     // A replacement mid-flight may have made an op startable
     // (released from the old order's parking).
     tryStart();
+}
+
+void
+DimensionEngine::observeOrder(int collective_id)
+{
+    THEMIS_ASSERT(enforced_.find(collective_id) == enforced_.end(),
+                  "collective " << collective_id
+                                << " already has an order on dim "
+                                << global_dim_);
+    enforced_[collective_id].observing = true;
+}
+
+std::vector<OpKey>
+DimensionEngine::takeObservedOrder(int collective_id)
+{
+    auto it = enforced_.find(collective_id);
+    THEMIS_ASSERT(it != enforced_.end() && it->second.observing,
+                  "collective " << collective_id
+                                << " is not observed on dim "
+                                << global_dim_);
+    std::vector<OpKey> order = std::move(it->second.order);
+    enforced_.erase(it);
+    return order;
 }
 
 void
@@ -326,7 +363,7 @@ DimensionEngine::enqueue(ChunkOp op)
                                 << global_dim_);
     const std::uint64_t seq = arrival_counter_++;
     auto eit = enforced_.find(op.tag.collective_id);
-    if (eit != enforced_.end()) {
+    if (eit != enforced_.end() && !eit->second.observing) {
         EnforcedOrder& eo = eit->second;
         THEMIS_ASSERT(eo.next < eo.order.size(),
                       "enforced order exhausted but ops keep arriving");
@@ -489,8 +526,12 @@ DimensionEngine::tryStartScalar()
         if (op.attempt == 0) {
             auto eit = enforced_.find(op.tag.collective_id);
             if (eit != enforced_.end()) {
-                ++eit->second.next;
-                promoteExpected(eit->second);
+                EnforcedOrder& eo = eit->second;
+                if (eo.observing)
+                    eo.order.push_back(
+                        OpKey{op.tag.chunk_id, op.tag.stage_index});
+                ++eo.next;
+                promoteExpected(eo);
             }
         }
         startOp(std::move(op));
@@ -516,10 +557,13 @@ DimensionEngine::startOp(ChunkOp op)
             static_cast<std::uint64_t>(op.tag.stage_index));
         fingerprint_->mix(queue_ref_.now());
     }
-    logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
-             " start chunk ", op.tag.chunk_id, " stage ",
-             op.tag.stage_index, " (", phaseName(op.phase), ", ",
-             op.entering, " B in, ", active_.size(), " active)");
+    // Guarded here, not only inside logDebug: phaseName() builds a
+    // string, and this runs on every op start.
+    if (Logger::level() <= LogLevel::Debug)
+        logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
+                 " start chunk ", op.tag.chunk_id, " stage ",
+                 op.tag.stage_index, " (", phaseName(op.phase), ", ",
+                 op.entering, " B in, ", active_.size(), " active)");
     if (start_listener_)
         start_listener_(op.tag);
     active_weighted_sum_ += op.transfer_time * op.flow.weight;
@@ -664,10 +708,11 @@ DimensionEngine::failOp(std::uint64_t exec_id, Bytes lost)
         fingerprint_->mix(static_cast<std::uint64_t>(op.attempt));
         fingerprint_->mix(queue_ref_.now());
     }
-    logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
-             " FAIL chunk ", op.tag.chunk_id, " stage ",
-             op.tag.stage_index, " attempt ", op.attempt, " (", lost,
-             " B lost)");
+    if (Logger::level() <= LogLevel::Debug)
+        logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
+                 " FAIL chunk ", op.tag.chunk_id, " stage ",
+                 op.tag.stage_index, " attempt ", op.attempt, " (",
+                 lost, " B lost)");
     const TimeNs delay = retryBackoffDelay(op);
     if (retry_listener_)
         retry_listener_(global_dim_, lost, delay);

@@ -28,7 +28,9 @@
  * eligible op is the least head. Enforced-order releases carry an
  * older sequence number and take a sorted insert. Ops of an enforced
  * collective that are not yet expected are parked per collective and
- * promoted when the order cursor reaches them.
+ * promoted when the order cursor reaches them. An *observed*
+ * collective parks nothing: its ops select by policy, and each start
+ * appends to the order it records.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
@@ -268,9 +270,25 @@ class DimensionEngine
      * Replacing an existing order mid-flight is supported only if the
      * new order lists exclusively not-yet-started ops (the cursor
      * restarts at the new order's head; an already-started op named
-     * there would be waited for forever).
+     * there would be waited for forever). Replacing an observed order
+     * (observeOrder()) adopts it instead: @p order must begin with
+     * the starts observed so far, and the cursor continues past them.
      */
     void setEnforcedOrder(int collective_id, std::vector<OpKey> order);
+
+    /**
+     * Record the order in which the ops of @p collective_id start on
+     * this dimension instead of enforcing one: its ops select by
+     * policy, and each first start appends to the observed order.
+     * setEnforcedOrder() later turns the observation into an enforced
+     * order; takeObservedOrder() hands it over once the collective
+     * is done.
+     */
+    void observeOrder(int collective_id);
+
+    /** Remove @p collective_id's observing entry and return the
+     *  starts it recorded. */
+    std::vector<OpKey> takeObservedOrder(int collective_id);
 
     /** Drop the enforced order of @p collective_id (when it ends). */
     void clearEnforcedOrder(int collective_id);
@@ -423,6 +441,9 @@ class DimensionEngine
 
     struct EnforcedOrder
     {
+        /** Observing (observeOrder()): `order` is the starts so far,
+         *  appended as they happen, and nothing is parked. */
+        bool observing = false;
         std::vector<OpKey> order;
         std::size_t next = 0;
         /** Parked (not yet expected) ops: OpKey -> arrival_seq. */

@@ -141,6 +141,13 @@ class SharedChannel
     Bandwidth capacity() const { return capacity_; }
 
     /**
+     * True while the virtual clock sits at zero: the channel is as
+     * freshly constructed or epoch-reset, so transfers begun now see
+     * the same virtual-time arithmetic as on a new channel.
+     */
+    bool atVirtualOrigin() const { return vtime_ == 0.0; }
+
+    /**
      * Total bytes progressed so far (including partial progress of
      * in-flight transfers), up to the last sync point. Call sync()
      * first when sampling at an arbitrary time.

@@ -4,7 +4,7 @@
  * admission of parallel small ops, enforced-order gating, presence
  * and listener plumbing, and the ready set's edge paths (enforced
  * releases, mid-key parking, anti-starvation across tiers, drained
- * keys).
+ * keys, observed orders).
  */
 
 #include <gtest/gtest.h>
@@ -346,6 +346,54 @@ TEST(DimensionEngineReadySet, DrainedKeyIsRecreatedInPlace)
                                  {0, 5},
                                  {0, 3},
                                  {0, 2}}));
+}
+
+TEST(DimensionEngineReadySet, ObservedOrderRecordsStartsThenAdopts)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    h.watch(engine);
+    engine.observeOrder(1);
+    engine.enqueue(h.op(1, 0, 8.0e6)); // starts at once, holds the rest
+    engine.enqueue(h.op(1, 1, 4.0e6));
+    engine.enqueue(h.op(1, 2, 2.0e6));
+    engine.enqueue(h.op(1, 3, 1.0e6));
+    // Observing parks nothing: 1.3 (shortest) is the policy's next.
+    // Adopting an order that continues the observed 1.0 overrides SCF
+    // from the cursor on.
+    engine.setEnforcedOrder(
+        1, {OpKey{0, 0}, OpKey{1, 0}, OpKey{3, 0}, OpKey{2, 0}});
+    EXPECT_EQ(engine.queuedCount(), 3u);
+    h.queue.run();
+    EXPECT_EQ(h.started, (Starts{{1, 0}, {1, 1}, {1, 3}, {1, 2}}));
+}
+
+TEST(DimensionEngineReadySet, ObservedOrderIsHandedOver)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    engine.observeOrder(1);
+    engine.enqueue(h.op(1, 0, 8.0e6));
+    engine.enqueue(h.op(1, 1, 4.0e6));
+    engine.enqueue(h.op(1, 2, 2.0e6));
+    h.queue.run();
+    EXPECT_TRUE(engine.takeObservedOrder(1) ==
+                (std::vector<OpKey>{OpKey{0, 0}, OpKey{2, 0},
+                                    OpKey{1, 0}}));
+}
+
+TEST(DimensionEngineReadySet, AdoptedOrderMustExtendObservedStarts)
+{
+    OrderHarness h;
+    DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                           AdmissionConfig{});
+    engine.observeOrder(1);
+    engine.enqueue(h.op(1, 0, 8.0e6)); // observed first start
+    engine.enqueue(h.op(1, 1, 4.0e6));
+    EXPECT_DEATH(engine.setEnforcedOrder(1, {OpKey{1, 0}, OpKey{0, 0}}),
+                 "not a prefix");
 }
 
 TEST(DimensionEngine, RejectsWrongDimensionOps)
