@@ -3,6 +3,7 @@
 
     python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR [--pairs N]
         [--seconds S] [--workloads a,b] [--seed N] [--out runs.jsonl]
+        [--layers]
     python3 tools/perf_pairs.py --summarize runs.jsonl
     python3 tools/perf_pairs.py --self-test
 
@@ -23,10 +24,17 @@ is worse than the parent's by more than the metric's bound. Any pair
 whose sides disagree on sim_time_ms or failed, or any run that is not
 correct, is flagged and makes the exit status 1.
 
+--layers adds, after the pairs, one `--trace 1` run per side per
+workload and prints every per-layer metric of BENCHMARK.json as
+parent -> change with the relative change. One traced run per side is
+an attribution, not a measurement: it says which layer moved, while
+the pairs say by how much the end-to-end metrics did.
+
 --out writes every run as one JSON line ({"workload", "pair", "side",
-"result"}), and --summarize prints the summary of such a file again.
---self-test summarizes canned lines and checks the numbers; it builds
-and runs nothing.
+"result"}; traced runs carry "trace": true instead of a pair), and
+--summarize prints the summary of such a file again, per-layer table
+included. --self-test summarizes canned lines and checks the numbers;
+it builds and runs nothing.
 """
 
 import argparse
@@ -54,9 +62,10 @@ def quantile(values, q):
     return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, trace=0):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace",
+           str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True,
                           text=True, check=False)
     lines = done.stdout.strip().splitlines()
@@ -90,13 +99,64 @@ def collect(args, out):
     return runs
 
 
+def collect_traced(args, out):
+    runs = []
+    for workload in args.workloads:
+        for side in SIDES:
+            checkout = args.parent if side == "parent" else args.change
+            result = run_once(checkout, workload, args.seed, args.seconds,
+                              trace=1)
+            run = {"workload": workload, "side": side, "trace": True,
+                   "result": result}
+            runs.append(run)
+            if out is not None:
+                out.write(json.dumps(run) + "\n")
+                out.flush()
+            print("%s traced %s" % (workload, side), file=sys.stderr)
+    return runs
+
+
+def workloads_of(runs):
+    names = []
+    for run in runs:
+        if run["workload"] not in names:
+            names.append(run["workload"])
+    return names
+
+
+def layers(runs, per_layer):
+    """Returns (report lines, flags): each per-layer metric of every
+    workload with a traced run on both sides, parent -> change."""
+    lines, flags = [], []
+    traced = [r for r in runs if r.get("trace")]
+    for workload in workloads_of(traced):
+        sides = {r["side"]: r["result"] for r in traced
+                 if r["workload"] == workload}
+        if len(sides) != 2:
+            continue
+        for side in SIDES:
+            if not sides[side]["correct"]:
+                flags.append("%s traced %s run not correct"
+                             % (workload, side))
+        lines.append("%s: per layer, one traced run per side" % workload)
+        for metric in per_layer:
+            name = metric["name"]
+            a, b = (sides[s]["metrics"].get(name, {}).get("value")
+                    for s in SIDES)
+            line = "  %-40s %12s -> %-12s" % (
+                name, "n/a" if a is None else "%.6g" % a,
+                "n/a" if b is None else "%.6g" % b)
+            if a is not None and b is not None and a != 0:
+                line += " %+.1f%%" % (100.0 * (b - a) / a)
+            lines.append(line.rstrip())
+    return lines, flags
+
+
 def summarize(runs, end_to_end):
     """Returns (report lines, flags) for the runs of every workload."""
     lines, flags = [], []
-    workloads = []
-    for run in runs:
-        if run["workload"] not in workloads:
-            workloads.append(run["workload"])
+    runs = [r for r in runs if not r.get("trace")]
+    workloads = workloads_of(runs)
     for workload in workloads:
         pairs = {}
         for run in runs:
@@ -199,6 +259,44 @@ def self_test():
              for i in range(3) for s in SIDES]
     lines, _ = summarize(worse, end_to_end)
     assert lines[1].endswith("wins 0/3 REGRESSION"), lines[1]
+
+    # Traced runs: layers() reads them, summarize() skips them.
+    per_layer = [{"name": "runtime.issue_ns"},
+                 {"name": "core.order_planner.ns_per_collective"},
+                 {"name": "sim.channel.classes"}]
+
+    def traced(workload, side, issue, planner, correct=True):
+        metrics = {"runtime.issue_ns": {"value": issue},
+                   "core.order_planner.ns_per_collective":
+                       {"value": planner},
+                   "sim.channel.classes": {"value": None,
+                                           "invalid": True}}
+        return {"workload": workload, "side": side, "trace": True,
+                "result": {"correct": correct, "failed": 0,
+                           "metrics": metrics}}
+
+    mixed = worse + [traced("x", "parent", 536000.0, 501000.0),
+                     traced("x", "change", 35000.0, 120.0),
+                     traced("y", "change", 1.0, 1.0, correct=False)]
+    lines, _ = summarize(mixed, end_to_end)
+    assert lines[0] == "x: 3 pairs", lines[0]
+    lines, flags = layers(mixed + [traced("y", "parent", 1.0, 0.0)],
+                          per_layer)
+    print("\n".join(lines + flags))
+    assert lines == [
+        "x: per layer, one traced run per side",
+        "  runtime.issue_ns                               536000 -> 35000"
+        "        -93.5%",
+        "  core.order_planner.ns_per_collective           501000 -> 120"
+        "          -100.0%",
+        "  sim.channel.classes                               n/a -> n/a",
+        "y: per layer, one traced run per side",
+        "  runtime.issue_ns                                    1 -> 1"
+        "            +0.0%",
+        "  core.order_planner.ns_per_collective                0 -> 1",
+        "  sim.channel.classes                               n/a -> n/a",
+    ], lines
+    assert flags == ["y traced change run not correct"], flags
     print("perf_pairs self-test: ok")
     return 0
 
@@ -214,6 +312,9 @@ def main():
                     help="comma-separated (default: every BENCHMARK.json "
                          "workload)")
     ap.add_argument("--out", help="append every run to this JSONL file")
+    ap.add_argument("--layers", action="store_true",
+                    help="after the pairs, one --trace 1 run per side "
+                         "per workload; print each per-layer metric")
     ap.add_argument("--summarize", metavar="JSONL",
                     help="summarize a file written by --out; runs nothing")
     ap.add_argument("--self-test", action="store_true")
@@ -232,11 +333,15 @@ def main():
         out = open(args.out, "a") if args.out else None
         try:
             runs = collect(args, out)
+            if args.layers:
+                runs += collect_traced(args, out)
         finally:
             if out is not None:
                 out.close()
     lines, flags = summarize(runs, bench["end_to_end"])
-    print("\n".join(lines))
+    layer_lines, layer_flags = layers(runs, bench["per_layer"])
+    flags += layer_flags
+    print("\n".join(lines + layer_lines))
     for flag in flags:
         print("FLAG " + flag)
     return 1 if flags else 0
