@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "runtime/dimension_engine.hpp"
 
 namespace themis::runtime {
@@ -182,23 +186,120 @@ TEST(DimensionEngine, PresenceTogglesWithWork)
 TEST(DimensionEngine, ListenersSeeStartAndFinish)
 {
     Harness h;
+    h.cfg = switchDim(8, 800.0, 10000.0);
+    AdmissionConfig admission;
+    admission.max_parallel_ops = 2;
     DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Fifo,
-                           AdmissionConfig{});
+                           admission);
+    // (chunk, queuedCount(), activeCount()) as each listener sees it:
+    // a starting op has left the queue but is not yet active, and a
+    // finishing op has already left the active set.
+    using Seen = std::vector<std::tuple<int, std::size_t, std::size_t>>;
+    Seen at_start, at_finish;
     TimeNs started = -1.0, finished_start = -1.0;
     engine.setStartListener([&](const OpTag& tag) {
-        EXPECT_EQ(tag.chunk_id, 5);
-        started = h.queue.now();
+        if (tag.chunk_id == 5)
+            started = h.queue.now();
+        at_start.emplace_back(tag.chunk_id, engine.queuedCount(),
+                              engine.activeCount());
     });
     engine.setFinishListener(
         [&](const ChunkOp& op, TimeNs started_at) {
-            EXPECT_EQ(op.tag.chunk_id, 5);
-            finished_start = started_at;
+            if (op.tag.chunk_id == 5)
+                finished_start = started_at;
+            at_finish.emplace_back(op.tag.chunk_id, engine.queuedCount(),
+                                   engine.activeCount());
         });
-    h.queue.scheduleAfter(2500.0,
-                          [&] { engine.enqueue(h.op(5, 1.0e6)); });
+    h.queue.scheduleAfter(2500.0, [&] {
+        for (int c = 5; c < 9; ++c)
+            engine.enqueue(h.op(c, 1000.0));
+    });
     h.queue.run();
     EXPECT_DOUBLE_EQ(started, 2500.0);
     EXPECT_DOUBLE_EQ(finished_start, 2500.0);
+    EXPECT_EQ(at_start, (Seen{{5, 0, 0}, {6, 0, 1}, {7, 1, 1}, {8, 0, 1}}));
+    EXPECT_EQ(at_finish,
+              (Seen{{5, 2, 1}, {6, 1, 1}, {7, 0, 1}, {8, 0, 0}}));
+}
+
+// --------------------------------------------- op storage reuse
+//
+// One engine over three iteration epochs drives an op through every
+// path in and out of its storage: the batched refill, an enforced
+// order installed over pending ops, mixed tiers reaching the bypass
+// bound, and a link flap whose failed ops retry under new arrival
+// sequence numbers. The start/finish sequence and the fingerprint
+// pin the whole trajectory.
+
+TEST(DimensionEngine, OpStorageIsReusedAcrossEveryPath)
+{
+    sim::EventQueue queue;
+    const DimensionConfig cfg = switchDim(8, 800.0, 2000.0);
+    AdmissionConfig admission;
+    admission.max_parallel_ops = 2;
+    admission.max_priority_bypass = 2;
+    DimensionEngine engine(queue, cfg, 0, IntraDimPolicy::Scf,
+                           admission);
+    RetryConfig retry;
+    retry.backoff_base_ns = 1000.0;
+    retry.backoff_cap_ns = 1.0e5;
+    retry.jitter = 0.25;
+    engine.armFaults(retry);
+    Fnv1a fingerprint;
+    engine.armFingerprint(&fingerprint);
+    std::string trace;
+    const auto note = [&trace](char kind, const OpTag& t) {
+        trace += kind + std::to_string(t.collective_id) + '.' +
+                 std::to_string(t.chunk_id) + '.' +
+                 std::to_string(t.stage_index) + ' ';
+    };
+    engine.setStartListener([&](const OpTag& t) { note('S', t); });
+    engine.setFinishListener(
+        [&](const ChunkOp& op, TimeNs) { note('F', op.tag); });
+    const auto op = [&](int collective, int chunk, Bytes entering,
+                        int tier) {
+        return makeChunkOp(OpTag{collective, chunk, 0},
+                           Phase::ReduceScatter, 0, 0, entering, cfg,
+                           [](const ChunkOp&) {}, FlowClass{tier, 1.0});
+    };
+    for (int epoch = 0; epoch < 3; ++epoch) {
+        if (epoch > 0) {
+            queue.rebaseToZero();
+            engine.beginIterationEpoch();
+        }
+        // One tier, no order: the batched refill.
+        for (int c = 0; c < 6; ++c)
+            engine.enqueue(op(0, c, c % 2 == 0 ? 1.0e4 : 4.0e6, 0));
+        queue.schedule(50.0e3, [&] {
+            // Pending ops of collective 3 park under an order installed
+            // after them; higher tiers then bypass the waiting tier 0.
+            for (int c = 0; c < 3; ++c)
+                engine.enqueue(op(3, c, 2.0e6, 0));
+            engine.setEnforcedOrder(3, {OpKey{2, 0}, OpKey{0, 0},
+                                        OpKey{1, 0}});
+            for (int c = 0; c < 3; ++c) {
+                engine.enqueue(op(1, c, 1.0e6 + epoch * 1.0e5, 1));
+                engine.enqueue(op(2, c, 2.0e4, 2));
+            }
+        });
+        queue.schedule(80.0e3, [&] { engine.setLinkDown(true); });
+        queue.schedule(120.0e3, [&] { engine.setLinkDown(false); });
+        queue.run();
+        engine.clearEnforcedOrder(3);
+        trace += "| ";
+    }
+    EXPECT_EQ(engine.completedCount(), 45u);
+    EXPECT_EQ(engine.retryCount(), 6u);
+    // Each epoch: 2.0 and 2.1 bypass the older 0.5, which is then
+    // forced; the flap fails 2.2 and 0.5 (each starts twice); 3.x
+    // start in the enforced order 2, 0, 1.
+    const std::string epoch =
+        "S0.0.0 S0.1.0 F0.0.0 S0.2.0 F0.2.0 S0.4.0 F0.4.0 S0.3.0 "
+        "F0.1.0 S2.0.0 F2.0.0 S2.1.0 F2.1.0 S0.5.0 F0.3.0 S2.2.0 "
+        "S2.2.0 S3.2.0 F2.2.0 S1.0.0 F1.0.0 S1.1.0 F3.2.0 S3.0.0 "
+        "F1.1.0 S1.2.0 F3.0.0 S3.1.0 F1.2.0 S0.5.0 F3.1.0 F0.5.0 | ";
+    EXPECT_EQ(trace, epoch + epoch + epoch);
+    EXPECT_EQ(fingerprint.value(), 11920767678104971363ull);
 }
 
 // ------------------------------------------- ready-set edge paths
