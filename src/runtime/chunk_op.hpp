@@ -52,16 +52,14 @@ struct OpTag
 
 /**
  * Inline step storage. The cost model lumps every op into a single
- * (fixed delay, wire bytes) step (Sec 4.4), so a heap-allocated
- * vector per op was pure overhead on the hot path — ops are created
- * per stage per chunk per iteration. A small fixed array keeps the op
- * trivially movable with zero allocations while preserving the
- * engine's generic step iteration.
+ * (fixed delay, wire bytes) step (Sec 4.4), so the list holds exactly
+ * one step in place — no allocation, and no spare entries inflating
+ * every op — while keeping the engine's generic step iteration.
  */
 class StepList
 {
   public:
-    static constexpr std::size_t kCapacity = 4;
+    static constexpr std::size_t kCapacity = 1;
 
     void
     push_back(const StepPlan& step)
@@ -78,9 +76,6 @@ class StepList
     {
         return items_[i];
     }
-
-    const StepPlan* begin() const { return items_; }
-    const StepPlan* end() const { return items_ + count_; }
 
   private:
     StepPlan items_[kCapacity];

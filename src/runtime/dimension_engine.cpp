@@ -35,6 +35,11 @@ parkKey(const OpTag& tag)
     return {tag.chunk_id, tag.stage_index};
 }
 
+/** lower_bound order of a bucket's (seq, slot) entries. */
+const auto seq_before = [](const auto& ready, std::uint64_t seq) {
+    return ready.seq < seq;
+};
+
 } // namespace
 
 DimensionEngine::DimensionEngine(sim::EventQueue& queue,
@@ -43,16 +48,7 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
                                  AdmissionConfig admission)
     : queue_ref_(queue), config_(config), global_dim_(global_dim),
       policy_(policy), admission_(admission),
-      channel_(queue, config.bandwidth()),
-      pending_(0, std::hash<std::uint64_t>{},
-               std::equal_to<std::uint64_t>{},
-               ArenaAllocator<std::pair<const std::uint64_t,
-                                        PendingOp>>(&arena_)),
-      active_(std::less<std::uint64_t>{},
-              ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>(
-                  &arena_)),
-      active_delays_(std::less<TimeNs>{},
-                     ArenaAllocator<TimeNs>(&arena_))
+      channel_(queue, config.bandwidth())
 {
     config_.validate();
     if (admission_.max_parallel_ops < 1)
@@ -89,10 +85,45 @@ DimensionEngine::DimensionEngine(sim::EventQueue& queue,
 void
 DimensionEngine::beginIterationEpoch()
 {
-    THEMIS_ASSERT(queuedCount() == 0 && active_.empty(),
+    THEMIS_ASSERT(queued_ == 0 && active_ == 0,
                   "iteration epoch reset with ops in flight on dim "
                       << global_dim_);
     channel_.epochReset();
+}
+
+std::uint32_t
+DimensionEngine::acquireSlot(ChunkOp op)
+{
+    std::uint32_t s = free_slot_;
+    if (s != kNoSlot) {
+        free_slot_ = slotAt(s).next_free;
+    } else {
+        if ((slot_end_ & (kPageSlots - 1)) == 0)
+            pages_.push_back(std::make_unique<OpSlot[]>(kPageSlots));
+        s = slot_end_++;
+    }
+    slotAt(s).op = std::move(op);
+    return s;
+}
+
+void
+DimensionEngine::releaseSlot(std::uint32_t s)
+{
+    OpSlot& slot = slotAt(s);
+    slot.op.on_complete = nullptr; // drop the caller's captures now
+    ++slot.generation;
+    slot.next_free = free_slot_;
+    free_slot_ = s;
+}
+
+DimensionEngine::OpSlot&
+DimensionEngine::liveSlot(OpHandle h)
+{
+    const auto s = static_cast<std::uint32_t>(h >> 32);
+    THEMIS_ASSERT(s < slot_end_ && slotAt(s).generation ==
+                                       static_cast<std::uint32_t>(h),
+                  "stale op handle on dim " << global_dim_);
+    return slotAt(s);
 }
 
 std::vector<DimensionEngine::Bucket>::iterator
@@ -111,7 +142,7 @@ DimensionEngine::bucketFor(const ChunkOp& op)
         it->service_time != st) {
         it = buckets_.insert(it, Bucket{tier, st, {}, 0});
         if (!spare_.empty()) {
-            it->seqs = std::move(spare_.back());
+            it->ops = std::move(spare_.back());
             spare_.pop_back();
         }
     }
@@ -119,32 +150,35 @@ DimensionEngine::bucketFor(const ChunkOp& op)
 }
 
 void
-DimensionEngine::readyInsert(const PendingOp& p)
+DimensionEngine::readyInsert(std::uint32_t s)
 {
-    Bucket& b = *bucketFor(p.op);
+    const OpSlot& slot = slotAt(s);
+    Bucket& b = *bucketFor(slot.op);
     // Compact a full buffer whose consumed prefix is at least half of
     // it: a buffer grows only while over half of it is live.
-    if (b.seqs.size() == b.seqs.capacity() &&
-        2 * b.head >= b.seqs.size()) {
-        b.seqs.erase(b.seqs.begin(), b.live());
+    if (b.ops.size() == b.ops.capacity() &&
+        2 * b.head >= b.ops.size()) {
+        b.ops.erase(b.ops.begin(), b.live());
         b.head = 0;
     }
     // New ops and retries carry the newest sequence number; only
     // enforced-order releases put back an older one.
-    b.seqs.insert(b.seqs.empty() || b.seqs.back() < p.arrival_seq
-                      ? b.seqs.end()
-                      : std::lower_bound(b.live(), b.seqs.end(),
-                                         p.arrival_seq),
-                  p.arrival_seq);
+    const std::uint64_t seq = slot.arrival_seq;
+    b.ops.insert(b.ops.empty() || b.ops.back().seq < seq
+                     ? b.ops.end()
+                     : std::lower_bound(b.live(), b.ops.end(), seq,
+                                        seq_before),
+                 ReadyOp{seq, s});
 }
 
 void
-DimensionEngine::readyErase(const PendingOp& p)
+DimensionEngine::readyErase(std::uint32_t s)
 {
-    const auto it = bucketFor(p.op);
-    const auto sit =
-        std::lower_bound(it->live(), it->seqs.end(), p.arrival_seq);
-    THEMIS_ASSERT(sit != it->seqs.end() && *sit == p.arrival_seq,
+    const OpSlot& slot = slotAt(s);
+    const auto it = bucketFor(slot.op);
+    const auto sit = std::lower_bound(it->live(), it->ops.end(),
+                                      slot.arrival_seq, seq_before);
+    THEMIS_ASSERT(sit != it->ops.end() && sit->slot == s,
                   "ready op missing from its bucket");
     // Rotate the op to the head (the rest keep their order) and pop.
     std::rotate(it->live(), sit, sit + 1);
@@ -155,10 +189,10 @@ void
 DimensionEngine::readyPop(std::size_t b)
 {
     Bucket& bucket = buckets_[b];
-    if (++bucket.head < bucket.seqs.size())
+    if (++bucket.head < bucket.ops.size())
         return;
-    bucket.seqs.clear();
-    spare_.push_back(std::move(bucket.seqs));
+    bucket.ops.clear();
+    spare_.push_back(std::move(bucket.ops));
     buckets_.erase(buckets_.begin() + static_cast<long>(b));
 }
 
@@ -184,31 +218,33 @@ DimensionEngine::setEnforcedOrder(int collective_id,
                                  "order");
             cursor = seen.size();
         }
-        for (const auto& [key, seq] : old->second.parked) {
-            auto pit = pending_.find(seq);
-            THEMIS_ASSERT(pit != pending_.end(),
-                          "parked op missing from pending store");
-            readyInsert(pit->second);
-        }
+        for (const auto& [key, s] : old->second.parked)
+            readyInsert(s);
         enforced_.erase(old);
     }
     EnforcedOrder& eo = enforced_[collective_id];
     eo.order = std::move(order);
     eo.next = cursor;
-    // Ops of this collective may already be pending (normally the
+    // Ops of this collective may already be queued (normally the
     // order is installed before the session starts, so this loop sees
-    // an empty set): park every one that is not the expected head.
-    for (const auto& [seq, p] : pending_) {
-        if (p.op.tag.collective_id != collective_id)
-            continue;
-        if (p.op.attempt > 0)
-            continue; // retry waiting out a flap; cursor passed it
-        THEMIS_ASSERT(eo.next < eo.order.size(),
-                      "enforced order shorter than pending op count");
-        if (parkKey(p.op.tag) != parkKey(eo.order[eo.next])) {
-            readyErase(p);
-            eo.parked.emplace(parkKey(p.op.tag), seq);
+    // an empty set), and all of them are ready now: park every one
+    // that is not the expected head.
+    std::vector<std::uint32_t> to_park;
+    for (const Bucket& b : buckets_)
+        for (std::size_t i = b.head; i < b.ops.size(); ++i) {
+            const ChunkOp& op = slotAt(b.ops[i].slot).op;
+            if (op.tag.collective_id != collective_id)
+                continue;
+            if (op.attempt > 0)
+                continue; // retry waiting out a flap; cursor passed it
+            THEMIS_ASSERT(eo.next < eo.order.size(),
+                          "enforced order shorter than pending op count");
+            if (parkKey(op.tag) != parkKey(eo.order[eo.next]))
+                to_park.push_back(b.ops[i].slot);
         }
+    for (const std::uint32_t s : to_park) {
+        readyErase(s);
+        eo.parked.emplace(parkKey(slotAt(s).op.tag), s);
     }
     // A replacement mid-flight may have made an op startable
     // (released from the old order's parking).
@@ -244,12 +280,8 @@ DimensionEngine::clearEnforcedOrder(int collective_id)
     auto it = enforced_.find(collective_id);
     if (it == enforced_.end())
         return;
-    for (const auto& [key, seq] : it->second.parked) {
-        auto pit = pending_.find(seq);
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "parked op missing from pending store");
-        readyInsert(pit->second);
-    }
+    for (const auto& [key, s] : it->second.parked)
+        readyInsert(s);
     const bool unparked = !it->second.parked.empty();
     enforced_.erase(it);
     if (unparked)
@@ -347,7 +379,7 @@ DimensionEngine::setLinkDown(bool down)
 void
 DimensionEngine::notifyPresence()
 {
-    const bool present = queuedCount() > 0 || !active_.empty();
+    const bool present = queued_ > 0 || active_ > 0;
     if (present == last_presence_)
         return;
     last_presence_ = present;
@@ -361,25 +393,24 @@ DimensionEngine::enqueue(ChunkOp op)
     THEMIS_ASSERT(op.global_dim == global_dim_,
                   "op for dim " << op.global_dim << " enqueued on dim "
                                 << global_dim_);
-    const std::uint64_t seq = arrival_counter_++;
-    auto eit = enforced_.find(op.tag.collective_id);
+    const std::uint32_t s = acquireSlot(std::move(op));
+    OpSlot& slot = slotAt(s);
+    slot.arrival_seq = arrival_counter_++;
+    ++queued_;
+    auto eit = enforced_.find(slot.op.tag.collective_id);
     if (eit != enforced_.end() && !eit->second.observing) {
         EnforcedOrder& eo = eit->second;
         THEMIS_ASSERT(eo.next < eo.order.size(),
                       "enforced order exhausted but ops keep arriving");
-        if (parkKey(op.tag) != parkKey(eo.order[eo.next])) {
+        if (parkKey(slot.op.tag) != parkKey(eo.order[eo.next])) {
             // Not the expected head: park until the cursor reaches it.
             // Nothing became startable, so no tryStart().
-            eo.parked.emplace(parkKey(op.tag), seq);
-            pending_.emplace(seq, PendingOp{std::move(op), seq});
+            eo.parked.emplace(parkKey(slot.op.tag), s);
             notifyPresence();
             return;
         }
     }
-    auto [pit, inserted] =
-        pending_.emplace(seq, PendingOp{std::move(op), seq});
-    THEMIS_ASSERT(inserted, "duplicate arrival sequence");
-    readyInsert(pit->second);
+    readyInsert(s);
     notifyPresence();
     tryStart();
 }
@@ -387,11 +418,11 @@ DimensionEngine::enqueue(ChunkOp op)
 bool
 DimensionEngine::admissionAllows(const ChunkOp& candidate) const
 {
-    if (active_.empty())
+    if (active_ == 0)
         return true;
-    if (static_cast<int>(active_.size()) >= admission_.max_parallel_ops)
+    if (static_cast<int>(active_) >= admission_.max_parallel_ops)
         return false;
-    const TimeNs max_delay = *active_delays_.rbegin();
+    const TimeNs max_delay = active_delays_.back().first;
     // Weighted service demand as the candidate sees it under GPS:
     // admit while sum_i(t_i * w_i) < headroom * max_delay * w_cand.
     // With uniform weights both sides multiply by 1.0 exactly.
@@ -408,10 +439,7 @@ DimensionEngine::promoteExpected(EnforcedOrder& eo)
     auto it = eo.parked.find(parkKey(eo.order[eo.next]));
     if (it == eo.parked.end())
         return; // expected op has not arrived yet
-    auto pit = pending_.find(it->second);
-    THEMIS_ASSERT(pit != pending_.end(),
-                  "parked op missing from pending store");
-    readyInsert(pit->second);
+    readyInsert(it->second);
     eo.parked.erase(it);
 }
 
@@ -456,33 +484,28 @@ DimensionEngine::tryStartBatch()
     // AdmissionConfig::latency_headroom).
     double sum = active_weighted_sum_;
     double max_delay =
-        active_delays_.empty() ? 0.0 : *active_delays_.rbegin();
-    std::size_t active_n = active_.size();
+        active_delays_.empty() ? 0.0 : active_delays_.back().first;
+    std::size_t active_n = active_;
     const double headroom = admission_.latency_headroom;
     const auto maxpar =
         static_cast<std::size_t>(admission_.max_parallel_ops);
     bool started = false;
     while (!buckets_.empty()) {
-        const std::uint64_t seq = buckets_.front().front();
-        const auto pit = pending_.find(seq);
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "ready op missing from pending store");
-        const double w = pit->second.op.flow.weight;
+        const std::uint32_t s = buckets_.front().front().slot;
+        const ChunkOp& op = slotAt(s).op;
+        const double w = op.flow.weight;
         const double budget = headroom * max_delay * w;
         const bool admit =
             (active_n == 0) |
             ((active_n < maxpar) & (sum < budget));
         if (!admit)
             break;
-        sum += pit->second.op.transfer_time * w;
-        max_delay = pit->second.op.fixed_delay > max_delay
-                        ? pit->second.op.fixed_delay
-                        : max_delay;
+        sum += op.transfer_time * w;
+        max_delay = op.fixed_delay > max_delay ? op.fixed_delay
+                                               : max_delay;
         ++active_n;
         readyPop(0);
-        ChunkOp op = std::move(pit->second.op);
-        pending_.erase(pit);
-        startOp(std::move(op));
+        startOp(s);
         started = true;
     }
     // Same-tier starts can never bypass an older lower-tier op, so
@@ -501,14 +524,13 @@ DimensionEngine::tryStartScalar()
         // anti-starvation bound.
         std::size_t chosen_b = 0, oldest_b = 0;
         for (std::size_t b = 1; b < buckets_.size(); ++b)
-            if (buckets_[b].front() < buckets_[oldest_b].front())
+            if (buckets_[b].front().seq < buckets_[oldest_b].front().seq)
                 oldest_b = b;
         if (bypass_streak_ >= admission_.max_priority_bypass)
             chosen_b = oldest_b;
-        auto pit = pending_.find(buckets_[chosen_b].front());
-        THEMIS_ASSERT(pit != pending_.end(),
-                      "ready op missing from pending store");
-        if (!admissionAllows(pit->second.op))
+        const std::uint32_t s = buckets_[chosen_b].front().slot;
+        const ChunkOp& op = slotAt(s).op;
+        if (!admissionAllows(op))
             return;
         // Only count genuine priority inversions: starting the oldest
         // op, or a newer op of the same (or lower) tier, is the
@@ -518,8 +540,6 @@ DimensionEngine::tryStartScalar()
         else
             bypass_streak_ = 0;
         readyPop(chosen_b);
-        ChunkOp op = std::move(pit->second.op);
-        pending_.erase(pit);
         // Retried ops (attempt > 0) already advanced their
         // collective's enforced cursor at their first start; bumping
         // it again would skip the true next op forever.
@@ -534,14 +554,16 @@ DimensionEngine::tryStartScalar()
                 promoteExpected(eo);
             }
         }
-        startOp(std::move(op));
+        startOp(s);
     }
 }
 
 void
-DimensionEngine::startOp(ChunkOp op)
+DimensionEngine::startOp(std::uint32_t s)
 {
-    const std::uint64_t exec_id = next_exec_id_++;
+    --queued_;
+    OpSlot& slot = slotAt(s);
+    const ChunkOp& op = slot.op;
     THEMIS_ASSERT(!op.steps.empty(), "op with no steps");
     if (fingerprint_ != nullptr) {
         // Event-trace component of the iteration fingerprint: op
@@ -563,24 +585,47 @@ DimensionEngine::startOp(ChunkOp op)
         logDebug("dim", global_dim_ + 1, " t=", queue_ref_.now(),
                  " start chunk ", op.tag.chunk_id, " stage ",
                  op.tag.stage_index, " (", phaseName(op.phase), ", ",
-                 op.entering, " B in, ", active_.size(), " active)");
+                 op.entering, " B in, ", active_, " active)");
     if (start_listener_)
         start_listener_(op.tag);
     active_weighted_sum_ += op.transfer_time * op.flow.weight;
-    active_delays_.insert(op.fixed_delay);
-    active_.emplace(exec_id,
-                    ActiveOp{std::move(op), 0, queue_ref_.now()});
-    advance(exec_id);
+    addActiveDelay(op.fixed_delay);
+    ++active_;
+    slot.next_step = 0;
+    slot.started_at = queue_ref_.now();
+    advance(handleOf(s));
 }
 
 void
-DimensionEngine::advance(std::uint64_t exec_id)
+DimensionEngine::addActiveDelay(TimeNs delay)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "advance on unknown op");
-    ActiveOp& a = it->second;
+    auto it = std::lower_bound(active_delays_.begin(),
+                               active_delays_.end(),
+                               std::pair<TimeNs, std::uint32_t>{delay, 0});
+    if (it != active_delays_.end() && it->first == delay)
+        ++it->second;
+    else
+        active_delays_.insert(it, {delay, 1});
+}
+
+void
+DimensionEngine::removeActiveDelay(TimeNs delay)
+{
+    auto it = std::lower_bound(active_delays_.begin(),
+                               active_delays_.end(),
+                               std::pair<TimeNs, std::uint32_t>{delay, 0});
+    THEMIS_ASSERT(it != active_delays_.end() && it->first == delay,
+                  "active delay aggregate out of sync");
+    if (--it->second == 0)
+        active_delays_.erase(it);
+}
+
+void
+DimensionEngine::advance(OpHandle h)
+{
+    OpSlot& a = liveSlot(h);
     if (a.next_step >= a.op.steps.size()) {
-        finish(exec_id);
+        finish(h);
         return;
     }
     const StepPlan step = a.op.steps[a.next_step];
@@ -589,26 +634,25 @@ DimensionEngine::advance(std::uint64_t exec_id)
     // workload case — maps onto the plain tier indices.
     const int cls = accountingClass(a.op.flow);
     ++a.next_step;
-    auto do_transfer = [this, exec_id, step, weight, cls] {
+    auto do_transfer = [this, h, step, weight, cls] {
         if (faults_armed_ && link_down_) {
             // The latency phase ended under a flapped link: the wire
             // transfer cannot start. Fail the attempt on the spot (no
             // bytes moved) and back off like a mid-flight failure.
-            failOp(exec_id, 0.0);
+            failOp(h, 0.0);
             return;
         }
         if (faults_armed_) {
             channel_.begin(
-                step.bytes, weight,
-                [this, exec_id] { advance(exec_id); }, cls,
-                [this, exec_id, step](Bytes remaining) {
+                step.bytes, weight, [this, h] { advance(h); }, cls,
+                [this, h, step](Bytes remaining) {
                     // Bytes the failed wire step DID move get re-sent
                     // on retry; account them as lost work.
-                    failOp(exec_id, step.bytes - remaining);
+                    failOp(h, step.bytes - remaining);
                 });
         } else {
             channel_.begin(step.bytes, weight,
-                           [this, exec_id] { advance(exec_id); }, cls);
+                           [this, h] { advance(h); }, cls);
         }
     };
     // One latency timer per chunk-op step: the closure must stay in
@@ -623,19 +667,14 @@ DimensionEngine::advance(std::uint64_t exec_id)
 }
 
 void
-DimensionEngine::finish(std::uint64_t exec_id)
+DimensionEngine::finish(OpHandle h)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "finish on unknown op");
-    ChunkOp op = std::move(it->second.op);
-    const TimeNs started_at = it->second.started_at;
-    active_.erase(it);
+    OpSlot& slot = liveSlot(h);
+    const ChunkOp& op = slot.op;
+    --active_;
     active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    const auto delay_it = active_delays_.find(op.fixed_delay);
-    THEMIS_ASSERT(delay_it != active_delays_.end(),
-                  "active delay aggregate out of sync");
-    active_delays_.erase(delay_it);
-    if (active_.empty())
+    removeActiveDelay(op.fixed_delay);
+    if (active_ == 0)
         active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
     ++completed_;
     if (fingerprint_ != nullptr) {
@@ -663,36 +702,35 @@ DimensionEngine::finish(std::uint64_t exec_id)
         p = appendInt(p, op.tag.stage_index);
         trace_->recordFabricOp(global_dim_, label,
                                static_cast<std::size_t>(p - label),
-                               started_at, queue_ref_.now());
+                               slot.started_at, queue_ref_.now());
     }
     if (finish_listener_)
-        finish_listener_(op, started_at);
+        finish_listener_(op, slot.started_at);
     // Completion may enqueue the chunk's next stage on another
-    // dimension (or this one); notify first, then refill.
+    // dimension (or this one, into another slot: this one is freed
+    // only after the callback); notify first, then refill.
     op.on_complete(op);
+    releaseSlot(static_cast<std::uint32_t>(h >> 32));
     notifyPresence();
     tryStart();
 }
 
 void
-DimensionEngine::failOp(std::uint64_t exec_id, Bytes lost)
+DimensionEngine::failOp(OpHandle h, Bytes lost)
 {
-    auto it = active_.find(exec_id);
-    THEMIS_ASSERT(it != active_.end(), "failOp on unknown op");
-    ActiveOp& a = it->second;
+    OpSlot& a = liveSlot(h);
     THEMIS_ASSERT(a.next_step >= 1, "failOp before any step began");
     // Earlier steps of this attempt completed in full; the whole op
     // restarts from step 0 on retry, so their bytes are re-sent too.
     for (std::size_t s = 0; s + 1 < a.next_step; ++s)
         lost += a.op.steps[s].bytes;
-    ChunkOp op = std::move(a.op);
-    active_.erase(it);
+    // The op keeps its slot through the backoff; it counts as neither
+    // queued nor active until requeueRetry().
+    ChunkOp& op = a.op;
+    --active_;
     active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    const auto delay_it = active_delays_.find(op.fixed_delay);
-    THEMIS_ASSERT(delay_it != active_delays_.end(),
-                  "active delay aggregate out of sync");
-    active_delays_.erase(delay_it);
-    if (active_.empty())
+    removeActiveDelay(op.fixed_delay);
+    if (active_ == 0)
         active_weighted_sum_ = 0.0;
     ++op.attempt;
     ++retry_count_;
@@ -732,10 +770,7 @@ DimensionEngine::failOp(std::uint64_t exec_id, Bytes lost)
                "the flap windows";
         throw RetryExhaustedError(oss.str(), report);
     }
-    queue_ref_.scheduleAfter(
-        delay, [this, op = std::move(op)]() mutable {
-            requeueRetry(std::move(op));
-        });
+    queue_ref_.scheduleAfter(delay, [this, h] { requeueRetry(h); });
     notifyPresence();
 }
 
@@ -785,13 +820,11 @@ DimensionEngine::publishMetrics(
 }
 
 void
-DimensionEngine::requeueRetry(ChunkOp op)
+DimensionEngine::requeueRetry(OpHandle h)
 {
-    const std::uint64_t seq = arrival_counter_++;
-    auto [pit, inserted] =
-        pending_.emplace(seq, PendingOp{std::move(op), seq});
-    THEMIS_ASSERT(inserted, "duplicate arrival sequence");
-    readyInsert(pit->second);
+    liveSlot(h).arrival_seq = arrival_counter_++;
+    ++queued_;
+    readyInsert(static_cast<std::uint32_t>(h >> 32));
     notifyPresence();
     tryStart();
 }

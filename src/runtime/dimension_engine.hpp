@@ -2,8 +2,8 @@
  * @file
  * Per-dimension execution engine.
  *
- * Owns one SharedChannel (the dimension's aggregate bandwidth) and a
- * queue of pending chunk operations. Responsibilities:
+ * Owns one SharedChannel (the dimension's aggregate bandwidth) and
+ * the chunk operations queued or running on it. Responsibilities:
  *
  *  - intra-dimension ordering: FIFO or Smallest-Chunk-First
  *    (paper Sec 4.3), or an *enforced* per-collective order produced
@@ -18,19 +18,27 @@
  *    bandwidth held) and then transfers its bytes through the shared
  *    channel (processor sharing across concurrent ops).
  *
- * Selection is bucketed: pending ops that are *eligible* (their
+ * Storage: each op lives in one slot of the engine's op slab from
+ * enqueue to finish — queued, running, and backing off between retry
+ * attempts alike. The slab is fixed pages of slots that never
+ * relocate, recycled through a free list, so steady-state op churn
+ * allocates nothing. Latency timers and channel callbacks name an op
+ * by a generation-tagged slot handle (like EventQueue::EventId), and
+ * a slot's generation bumps on every release.
+ *
+ * Selection is bucketed: queued ops that are *eligible* (their
  * collective has no enforced order, or they are exactly its next
  * expected op) sit in one bucket per selection key — (tier, service
  * time) under SCF, the tier alone under FIFO — and the few buckets
  * are sorted by key, higher tier first. Within a key the policy
- * orders by arrival, so each bucket is a FIFO of arrival sequence
- * numbers: the next op is the first bucket's head and the oldest
- * eligible op is the least head. Enforced-order releases carry an
- * older sequence number and take a sorted insert. Ops of an enforced
- * collective that are not yet expected are parked per collective and
- * promoted when the order cursor reaches them. An *observed*
- * collective parks nothing: its ops select by policy, and each start
- * appends to the order it records.
+ * orders by arrival, so each bucket is a FIFO of (arrival sequence
+ * number, slot) entries: the next op is the first bucket's head and
+ * the oldest eligible op is the least head. Enforced-order releases
+ * carry an older sequence number and take a sorted insert. Ops of an
+ * enforced collective that are not yet expected are parked per
+ * collective and promoted when the order cursor reaches them. An
+ * *observed* collective parks nothing: its ops select by policy, and
+ * each start appends to the order it records.
  *
  * Refills are *batched* on the common path: when the ready set spans
  * one flow tier, no enforced order is installed and no
@@ -40,7 +48,7 @@
  * one streamed pass with the aggregates (running
  * transfer-time sum, running max delay, running active count) hoisted
  * into locals and a branch-light admit formula, instead of
- * re-querying the active multiset and map per start. The general
+ * re-querying the active aggregates per start. The general
  * one-op-at-a-time loop serves enforced orders, mixed tiers and
  * pending bypasses; both loops apply the same weighted admission rule
  * (AdmissionConfig::latency_headroom), so they admit identical
@@ -61,12 +69,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "core/consistency_planner.hpp"
@@ -367,10 +372,10 @@ class DimensionEngine
     int globalDim() const { return global_dim_; }
 
     /** Currently queued (not yet started) op count. */
-    std::size_t queuedCount() const { return pending_.size(); }
+    std::size_t queuedCount() const { return queued_; }
 
     /** Currently executing op count. */
-    std::size_t activeCount() const { return active_.size(); }
+    std::size_t activeCount() const { return active_; }
 
     /** Total ops completed by this engine. */
     std::uint64_t completedCount() const { return completed_; }
@@ -402,8 +407,8 @@ class DimensionEngine
      */
     int bypassStreak() const { return bypass_streak_; }
 
-    /** Arena slabs backing the pending store and the active set. */
-    std::size_t arenaSlabCount() const { return arena_.slabCount(); }
+    /** Op slots created so far (the slab's high-water mark). */
+    std::size_t opSlotCount() const { return slot_end_; }
 
     /**
      * Publish this engine's cumulative observables as gauges under
@@ -413,17 +418,28 @@ class DimensionEngine
                         const std::string& prefix) const;
 
   private:
-    struct PendingOp
+    /**
+     * One op's storage from enqueue to finish; see file comment.
+     * Free slots chain through `next_free`.
+     */
+    struct OpSlot
     {
         ChunkOp op;
-        std::uint64_t arrival_seq;
+        std::uint64_t arrival_seq = 0;
+        TimeNs started_at = 0.0;
+        std::uint32_t next_step = 0;
+        std::uint32_t generation = 0;
+        std::uint32_t next_free = 0;
     };
 
-    struct ActiveOp
+    /** Slot index in the high 32 bits, its generation in the low 32. */
+    using OpHandle = std::uint64_t;
+
+    /** A ready op: its arrival sequence number and its slot. */
+    struct ReadyOp
     {
-        ChunkOp op;
-        std::size_t next_step = 0;
-        TimeNs started_at = 0.0;
+        std::uint64_t seq;
+        std::uint32_t slot;
     };
 
     /** Eligible ops sharing one selection key; see file comment. */
@@ -431,12 +447,12 @@ class DimensionEngine
     {
         int tier = 0;
         TimeNs service_time = 0.0; ///< 0 under FIFO (tier-only key)
-        /** seqs[head..] are the ops' arrival_seq values, ascending. */
-        std::vector<std::uint64_t> seqs;
+        /** ops[head..] are the ready ops, by ascending seq. */
+        std::vector<ReadyOp> ops;
         std::size_t head = 0;
 
-        std::uint64_t front() const { return seqs[head]; }
-        auto live() { return seqs.begin() + static_cast<long>(head); }
+        const ReadyOp& front() const { return ops[head]; }
+        auto live() { return ops.begin() + static_cast<long>(head); }
     };
 
     struct EnforcedOrder
@@ -446,16 +462,37 @@ class DimensionEngine
         bool observing = false;
         std::vector<OpKey> order;
         std::size_t next = 0;
-        /** Parked (not yet expected) ops: OpKey -> arrival_seq. */
-        std::map<std::pair<int, int>, std::uint64_t> parked;
+        /** Parked (not yet expected) ops: OpKey -> slot. */
+        std::map<std::pair<int, int>, std::uint32_t> parked;
     };
+
+    static constexpr std::uint32_t kPageShift = 6;
+    static constexpr std::uint32_t kPageSlots = 1u << kPageShift;
+    static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+    OpSlot&
+    slotAt(std::uint32_t s)
+    {
+        return pages_[s >> kPageShift][s & (kPageSlots - 1)];
+    }
+    /** Store @p op in a free slot (a new page if none is free). */
+    std::uint32_t acquireSlot(ChunkOp op);
+    /** Return slot @p s to the free list; its handles go stale. */
+    void releaseSlot(std::uint32_t s);
+    OpHandle
+    handleOf(std::uint32_t s)
+    {
+        return static_cast<OpHandle>(s) << 32 | slotAt(s).generation;
+    }
+    /** The slot @p h names; asserts that the handle is not stale. */
+    OpSlot& liveSlot(OpHandle h);
 
     /** @p op's key's bucket; inserted in key order if absent. */
     std::vector<Bucket>::iterator bucketFor(const ChunkOp& op);
-    /** Insert @p p into its key's bucket at its arrival position. */
-    void readyInsert(const PendingOp& p);
-    /** Remove @p p from its bucket (parking an already-ready op). */
-    void readyErase(const PendingOp& p);
+    /** Insert slot @p s into its key's bucket at its arrival position. */
+    void readyInsert(std::uint32_t s);
+    /** Remove slot @p s from its bucket (parking an already-ready op). */
+    void readyErase(std::uint32_t s);
     /** Pop buckets_[b]'s head; an emptied bucket goes to spare_. */
     void readyPop(std::size_t b);
 
@@ -470,18 +507,22 @@ class DimensionEngine
     bool admissionAllows(const ChunkOp& candidate) const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
-    void startOp(ChunkOp op);
-    void advance(std::uint64_t exec_id);
-    void finish(std::uint64_t exec_id);
-    /** Fault path: remove @p exec_id from the active set, account
+    /** Start the op in slot @p s (already out of the ready set). */
+    void startOp(std::uint32_t s);
+    void advance(OpHandle h);
+    void finish(OpHandle h);
+    /** Add/remove one active op's fixed delay in active_delays_. */
+    void addActiveDelay(TimeNs delay);
+    void removeActiveDelay(TimeNs delay);
+    /** Fault path: take @p h's op out of the active set, account
      *  @p lost re-sent bytes, and schedule its backoff requeue. */
-    void failOp(std::uint64_t exec_id, Bytes lost);
+    void failOp(OpHandle h, Bytes lost);
 
     /** Capped exponential backoff (plus jitter) for @p op's attempt. */
     TimeNs retryBackoffDelay(const ChunkOp& op) const;
-    /** Backoff expiry: the op re-enters pending/ready directly (an
+    /** Backoff expiry: the op re-enters the ready set directly (an
      *  enforced order's cursor has already passed a started op). */
-    void requeueRetry(ChunkOp op);
+    void requeueRetry(OpHandle h);
     void notifyPresence();
 
     sim::EventQueue& queue_ref_;
@@ -491,38 +532,29 @@ class DimensionEngine
     AdmissionConfig admission_;
     sim::SharedChannel channel_;
 
-    /**
-     * Node arena backing the per-op node containers below: after the
-     * first iteration has shaped the pool, op churn allocates nothing
-     * and the nodes stay packed in a few slabs (declared first so it
-     * outlives the containers).
-     */
-    NodeArena arena_;
-
-    /** Pending store: arrival_seq -> op (eligible and parked). */
-    std::unordered_map<
-        std::uint64_t, PendingOp, std::hash<std::uint64_t>,
-        std::equal_to<std::uint64_t>,
-        ArenaAllocator<std::pair<const std::uint64_t, PendingOp>>>
-        pending_;
+    /** The op slab: pages of kPageSlots slots, slots [0, slot_end_)
+     *  in use or on the free list headed by free_slot_. */
+    std::vector<std::unique_ptr<OpSlot[]>> pages_;
+    std::uint32_t slot_end_ = 0;
+    std::uint32_t free_slot_ = kNoSlot;
+    /** Queued ops (eligible and parked) and running ops; an op
+     *  backing off before a retry is neither. */
+    std::size_t queued_ = 0;
+    std::size_t active_ = 0;
     /** The eligible ops, bucketed by selection key in key order. A
      *  bucket that empties leaves its storage in spare_ for the next
      *  new key, so steady-state refills allocate nothing. */
     std::vector<Bucket> buckets_;
-    std::vector<std::vector<std::uint64_t>> spare_;
+    std::vector<std::vector<ReadyOp>> spare_;
     /** Consecutive starts that bypassed an older lower-tier op. */
     int bypass_streak_ = 0;
-    std::map<std::uint64_t, ActiveOp, std::less<std::uint64_t>,
-             ArenaAllocator<std::pair<const std::uint64_t, ActiveOp>>>
-        active_;
-    /** Aggregates over active_, maintained incrementally so the
-     *  admission check is O(1) instead of rescanning the active set:
-     *  the weight-scaled transfer-time sum (sum of transfer_i * w_i)
-     *  and the fixed delays. */
+    /** Aggregates over the running ops, maintained incrementally so
+     *  the admission check is O(1): the weight-scaled transfer-time
+     *  sum (sum of transfer_i * w_i), and the fixed delays as
+     *  ascending (delay, count) pairs — a dimension has few distinct
+     *  delays, and the largest is the back. */
     TimeNs active_weighted_sum_ = 0.0;
-    std::multiset<TimeNs, std::less<TimeNs>, ArenaAllocator<TimeNs>>
-        active_delays_;
-    std::uint64_t next_exec_id_ = 1;
+    std::vector<std::pair<TimeNs, std::uint32_t>> active_delays_;
     std::uint64_t arrival_counter_ = 0;
     std::uint64_t completed_ = 0;
 

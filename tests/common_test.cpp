@@ -6,9 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/random.hpp"
@@ -206,34 +204,6 @@ TEST(SmallVector, WorksWithStdHeapAlgorithms)
         EXPECT_GE(top, prev);
         prev = top;
     }
-}
-
-TEST(Arena, RecyclesNodesWithoutNewSlabs)
-{
-    NodeArena arena;
-    std::set<int, std::less<int>, ArenaAllocator<int>> s{
-        std::less<int>{}, ArenaAllocator<int>(&arena)};
-    for (int i = 0; i < 1000; ++i)
-        s.insert(i);
-    const std::size_t slabs = arena.slabCount();
-    EXPECT_GE(slabs, 1u);
-    // Churn: erase and re-insert repeatedly; freed nodes must be
-    // recycled, never re-carved from fresh slabs.
-    for (int round = 0; round < 10; ++round) {
-        s.clear();
-        for (int i = 0; i < 1000; ++i)
-            s.insert(i * round);
-    }
-    EXPECT_EQ(arena.slabCount(), slabs);
-}
-
-TEST(Arena, LargeBlocksFallBackToOperatorNew)
-{
-    NodeArena arena;
-    void* p = arena.allocate(100000); // > kMaxBlock
-    ASSERT_NE(p, nullptr);
-    arena.deallocate(p, 100000);
-    EXPECT_EQ(arena.slabCount(), 0u);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Steady-state iteration replay: epoch mechanics, fingerprint-based
  * detection, replay-vs-full-simulation bit identity (including the
- * in-binary exactness mode), session-pool and arena reuse, and the
+ * in-binary exactness mode), session-pool and op-slab reuse, and the
  * batched-vs-scalar admission equivalence.
  */
 
@@ -177,19 +177,19 @@ TEST(Convergence, SessionPoolAndArenaStopGrowingAtSteadyState)
     opts.replay = false;
     runConverged(comm, loop, opts);
     const std::size_t session_slots = comm.sessionSlotCount();
-    std::size_t arena_slabs = 0;
+    std::size_t op_slots = 0;
     for (int d = 0; d < comm.topology().numDims(); ++d)
-        arena_slabs += comm.engine(d).arenaSlabCount();
+        op_slots += comm.engine(d).opSlotCount();
 
     runConverged(comm, loop, opts);
     runConverged(comm, loop, opts);
     EXPECT_EQ(comm.sessionSlotCount(), session_slots)
         << "sessions were re-allocated instead of recycled";
-    std::size_t arena_slabs_after = 0;
+    std::size_t op_slots_after = 0;
     for (int d = 0; d < comm.topology().numDims(); ++d)
-        arena_slabs_after += comm.engine(d).arenaSlabCount();
-    EXPECT_EQ(arena_slabs_after, arena_slabs)
-        << "engine arenas kept growing across epochs";
+        op_slots_after += comm.engine(d).opSlotCount();
+    EXPECT_EQ(op_slots_after, op_slots)
+        << "engine op slabs kept growing across epochs";
 }
 
 TEST(Convergence, EpochRebaseKeepsRecordsInIterationFrame)
