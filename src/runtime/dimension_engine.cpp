@@ -474,7 +474,7 @@ DimensionEngine::tryStartBatch()
     // delay, running active count) are hoisted into locals, so every
     // candidate costs exactly one branch-light admit evaluation —
     // arithmetic on register-resident doubles, no per-start re-query
-    // of the active multiset or map — and the pass stops at the
+    // of the active aggregates — and the pass stops at the
     // first rejection, which closes the refill (nothing admitted
     // later could change the verdict: the aggregates only grow).
     // Admit rule == scalar path: the first op of an idle engine is
@@ -588,36 +588,41 @@ DimensionEngine::startOp(std::uint32_t s)
                  op.entering, " B in, ", active_, " active)");
     if (start_listener_)
         start_listener_(op.tag);
-    active_weighted_sum_ += op.transfer_time * op.flow.weight;
-    addActiveDelay(op.fixed_delay);
-    ++active_;
+    addActive(op);
     slot.next_step = 0;
     slot.started_at = queue_ref_.now();
     advance(handleOf(s));
 }
 
 void
-DimensionEngine::addActiveDelay(TimeNs delay)
+DimensionEngine::addActive(const ChunkOp& op)
 {
-    auto it = std::lower_bound(active_delays_.begin(),
-                               active_delays_.end(),
-                               std::pair<TimeNs, std::uint32_t>{delay, 0});
-    if (it != active_delays_.end() && it->first == delay)
+    ++active_;
+    active_weighted_sum_ += op.transfer_time * op.flow.weight;
+    const auto it = std::lower_bound(
+        active_delays_.begin(), active_delays_.end(),
+        std::pair<TimeNs, std::uint32_t>{op.fixed_delay, 0});
+    if (it != active_delays_.end() && it->first == op.fixed_delay)
         ++it->second;
     else
-        active_delays_.insert(it, {delay, 1});
+        active_delays_.insert(it, {op.fixed_delay, 1});
 }
 
 void
-DimensionEngine::removeActiveDelay(TimeNs delay)
+DimensionEngine::removeActive(const ChunkOp& op)
 {
-    auto it = std::lower_bound(active_delays_.begin(),
-                               active_delays_.end(),
-                               std::pair<TimeNs, std::uint32_t>{delay, 0});
-    THEMIS_ASSERT(it != active_delays_.end() && it->first == delay,
+    --active_;
+    active_weighted_sum_ -= op.transfer_time * op.flow.weight;
+    const auto it = std::lower_bound(
+        active_delays_.begin(), active_delays_.end(),
+        std::pair<TimeNs, std::uint32_t>{op.fixed_delay, 0});
+    THEMIS_ASSERT(it != active_delays_.end() &&
+                      it->first == op.fixed_delay,
                   "active delay aggregate out of sync");
     if (--it->second == 0)
         active_delays_.erase(it);
+    if (active_ == 0)
+        active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
 }
 
 void
@@ -671,11 +676,7 @@ DimensionEngine::finish(OpHandle h)
 {
     OpSlot& slot = liveSlot(h);
     const ChunkOp& op = slot.op;
-    --active_;
-    active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    removeActiveDelay(op.fixed_delay);
-    if (active_ == 0)
-        active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
+    removeActive(op);
     ++completed_;
     if (fingerprint_ != nullptr) {
         fingerprint_->mix(std::uint64_t{0x464e}); // "FN"
@@ -727,11 +728,7 @@ DimensionEngine::failOp(OpHandle h, Bytes lost)
     // The op keeps its slot through the backoff; it counts as neither
     // queued nor active until requeueRetry().
     ChunkOp& op = a.op;
-    --active_;
-    active_weighted_sum_ -= op.transfer_time * op.flow.weight;
-    removeActiveDelay(op.fixed_delay);
-    if (active_ == 0)
-        active_weighted_sum_ = 0.0;
+    removeActive(op);
     ++op.attempt;
     ++retry_count_;
     lost_bytes_ += lost;

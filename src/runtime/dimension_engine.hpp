@@ -511,9 +511,10 @@ class DimensionEngine
     void startOp(std::uint32_t s);
     void advance(OpHandle h);
     void finish(OpHandle h);
-    /** Add/remove one active op's fixed delay in active_delays_. */
-    void addActiveDelay(TimeNs delay);
-    void removeActiveDelay(TimeNs delay);
+    /** Count @p op into (out of) the running ops and their
+     *  admission aggregates. */
+    void addActive(const ChunkOp& op);
+    void removeActive(const ChunkOp& op);
     /** Fault path: take @p h's op out of the active set, account
      *  @p lost re-sent bytes, and schedule its backoff requeue. */
     void failOp(OpHandle h, Bytes lost);
