@@ -220,6 +220,19 @@ parseArgs(const std::vector<std::string>& args)
                              modeInfo(o.mode).name + " mode (" +
                              modeInfo(o.mode).selector +
                              "); it applies to: " + modeList(f.modes));
+    // The grid reads these flags only in some of its shapes.
+    const bool mixes = !o.jobs.empty();
+    auto unread = [&](const char* flag, bool when, const char* shape) {
+        if (o.mode == Mode::Grid && when && has(flag))
+            throw UsageError(std::string(flag) +
+                             " does not apply to the grid mode " + shape);
+    };
+    unread("--topo", has("--grid"), "with --grid");
+    unread("--chunks", has("--sweep"), "with --sweep");
+    unread("--type", mixes, "with --jobs mixes");
+    unread("--size", mixes, "with --jobs mixes");
+    unread("--iterations", !mixes, "without --jobs mixes");
+    unread("--tier-ratio", !mixes, "without --jobs mixes");
 
     o.type = toLower(o.type);
     o.sched = toLower(o.sched);

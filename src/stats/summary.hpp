@@ -1,6 +1,6 @@
 /**
  * @file
- * Text-table formatting for bench/example reports, plus the summary
+ * Text-table formatting for CLI/example reports, plus the summary
  * record of a single communication run.
  */
 

@@ -222,6 +222,8 @@ TEST(Adaptation, FaultFreeBitIdenticalWithAdaptationArmed)
     const auto armed = runDlrm(topo, &empty, true, 8);
     EXPECT_TRUE(
         workload::resultsBitIdentical(plain.report, armed.report));
+    EXPECT_EQ(plain.report.steady_fingerprint,
+              armed.report.steady_fingerprint);
     EXPECT_EQ(armed.replans, 0u);
     EXPECT_EQ(armed.capacity_fp, 0u);
 }
@@ -266,6 +268,36 @@ TEST(Adaptation, AdaptivePlanBeatsStaleStaticPlan)
 
     EXPECT_GT(adaptive.comm->replanCount(), 0u);
     EXPECT_LT(adaptive.duration, stale.duration);
+
+    // The t=0 straggler applies before planning, so the adaptive
+    // collective ran wholly under the degraded plan: its wire bytes
+    // follow the degraded model's stage-load algebra (loads are times
+    // under the degraded bandwidths; multiply back by them).
+    const auto model =
+        LatencyModel::fromTopology(topo).scaledBy({0.25, 1.0});
+    const auto schedules = ThemisScheduler(model).scheduleCollective(
+        CollectiveType::AllReduce,
+        schedulableSize(CollectiveType::AllReduce, 1.0e8,
+                        model.dimSizes()),
+        8);
+    for (int d = 0; d < topo.numDims(); ++d) {
+        Bytes expected = 0.0;
+        for (const auto& sched : schedules)
+            expected += model.stageLoads(sched.size, sched.stages)
+                            [static_cast<std::size_t>(d)] *
+                        topo.dim(d).bandwidth() * (d == 0 ? 0.25 : 1.0);
+        auto& ch = adaptive.comm->engine(d).channel();
+        ch.sync();
+        EXPECT_NEAR(ch.progressedBytes(), expected, 1.0 + 1e-6 * expected)
+            << "dim " << d;
+    }
+
+    // Over DLRM training the stale plan costs at least 10% makespan.
+    const auto stale_dlrm = runDlrm(topo, &tl, false, 8);
+    const auto adaptive_dlrm = runDlrm(topo, &tl, true, 8);
+    EXPECT_GT(adaptive_dlrm.replans, 0u);
+    EXPECT_GE(stale_dlrm.report.total.total,
+              1.10 * adaptive_dlrm.report.total.total);
 }
 
 // ------------------------------------------------ retry jitter

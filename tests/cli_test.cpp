@@ -131,6 +131,21 @@ TEST(CliParse, FlagsOutsideTheirModesAreRejected)
     EXPECT_TRUE(contains(usageError({"--priority", "4", "--jobs",
                                      "train:DLRM"}),
                          "--jobs does not apply to the priority mode"));
+    // Grid flags its current shape does not read.
+    EXPECT_TRUE(contains(usageError({"--grid", "2D-SW_SW", "--topo", "4D"}),
+                         "--topo does not apply to the grid mode with --grid"));
+    EXPECT_TRUE(contains(usageError({"--sweep", "8", "--chunks", "4"}),
+                         "--chunks does not apply to the grid mode with "
+                         "--sweep"));
+    for (const char* flag : {"--type", "--size"})
+        EXPECT_TRUE(contains(usageError({"--grid", "2D-SW_SW", "--jobs",
+                                         "train:DLRM", flag, "1"}),
+                             std::string(flag) + " does not apply to the grid "
+                                                 "mode with --jobs mixes"));
+    for (const char* flag : {"--iterations", "--tier-ratio"})
+        EXPECT_TRUE(contains(usageError({"--sweep", "8", flag, "2"}),
+                             std::string(flag) + " does not apply to the grid "
+                                                 "mode without --jobs mixes"));
     // Two mode flags never combine.
     EXPECT_TRUE(contains(usageError({"--serve", "--merge", "o,i"}),
                          "--serve does not apply to the merge mode"));

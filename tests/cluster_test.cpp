@@ -113,28 +113,45 @@ TEST(Cluster, AsyncSingleLoopIterationMatchesSynchronous)
 TEST(Cluster, PerJobBytesConservedUnderContention)
 {
     const Topology topo = presets::byName("2D-SW_SW");
-    // The same mix under three weight ladders must move identical
-    // bytes per tenant: weights redistribute when bytes move, never
-    // whose they are.
-    std::vector<cluster::ClusterReport> reps;
-    for (double ratio : {1.0, 4.0, 16.0}) {
-        sim::EventQueue q;
-        Cluster cl(q, topo, priorityConfig(ratio), contentionMix());
-        reps.push_back(cl.run());
-    }
-    ASSERT_EQ(reps[0].jobs.size(), 2u);
-    for (const auto& rep : reps) {
-        Bytes sum = 0.0;
-        for (const auto& j : rep.jobs) {
-            EXPECT_GT(j.progressed, 0.0);
-            sum += j.progressed;
-            EXPECT_NEAR(j.progressed,
-                        reps[0]
-                            .jobs[static_cast<std::size_t>(j.job)]
-                            .progressed,
-                        1e-6 * j.progressed);
+    // Each mix under uniform weights and four weight ladders must move
+    // identical bytes per tenant: weights redistribute when bytes
+    // move, never whose they are. The second mix runs two training
+    // tenants beside a bounded urgent inference stream.
+    std::vector<JobSpec> three;
+    three.push_back(JobSpec::training(models::byName("DLRM"), 3));
+    three.push_back(JobSpec::training(models::byName("GNMT"), 3));
+    three.push_back(JobSpec::periodicInference(
+        1.6e7, 4.0e5, 6.0e5, 0.0, static_cast<int>(PriorityTier::Urgent)));
+    three.back().max_requests = 10;
+    const std::vector<JobSpec> mixes[] = {contentionMix(), three};
+    for (const auto& mix : mixes) {
+        std::vector<cluster::ClusterReport> reps;
+        for (double ratio : {0.0, 1.0, 4.0, 8.0, 16.0}) {
+            sim::EventQueue q;
+            Cluster cl(q, topo, priorityConfig(ratio), mix);
+            reps.push_back(cl.run());
         }
-        EXPECT_NEAR(sum, rep.total_bytes, 1e-6 * rep.total_bytes);
+        ASSERT_EQ(reps[0].jobs.size(), mix.size());
+        for (const auto& rep : reps) {
+            Bytes sum = 0.0;
+            for (const auto& j : rep.jobs) {
+                EXPECT_GT(j.progressed, 0.0);
+                sum += j.progressed;
+                EXPECT_NEAR(j.progressed,
+                            reps[0]
+                                .jobs[static_cast<std::size_t>(j.job)]
+                                .progressed,
+                            1e-6 * j.progressed);
+            }
+            EXPECT_NEAR(sum, rep.total_bytes, 1e-6 * rep.total_bytes);
+        }
+        // At unchanged bytes, tiered(8) buys the contention mix's
+        // deadline-bound stream latency: it hits more deadlines than
+        // uniform weights (the second mix hits all of them either way).
+        if (&mix == &mixes[0]) {
+            EXPECT_GT(reps[3].jobs.back().deadline_hit_rate,
+                      reps[0].jobs.back().deadline_hit_rate);
+        }
     }
 }
 
@@ -189,8 +206,9 @@ TEST(Cluster, UrgentLatencyImprovesMonotonicallyWithWeightRatio)
     // no backlog builds: each request's latency is then a pure
     // function of its GPS share against the bulk training traffic,
     // the regime where monotonicity is a theorem (open-loop overload
-    // adds queueing feedback that makes the curve locally noisy —
-    // the bench covers that regime).
+    // adds queueing feedback that makes the curve locally noisy; there
+    // PerJobBytesConservedUnderContention compares only uniform
+    // weights with tiered(8)).
     auto mix = [] {
         std::vector<JobSpec> specs;
         specs.push_back(JobSpec::training(
@@ -364,6 +382,14 @@ TEST(Cluster, OffsetSearchNeverLosesToZeroOffset)
     for (const auto& c : res.candidates)
         EXPECT_DOUBLE_EQ(c.offsets[0], 0.0);
     EXPECT_DOUBLE_EQ(res.candidates[0].offsets[1], 0.0);
+
+    // Over 4 iterations and 8 candidates, interleaving the twins'
+    // communication bursts strictly beats arriving together.
+    opts.steps = 8;
+    opts.iterations = 4;
+    const auto wide = cluster::searchPhaseOffsets(
+        topo, priorityConfig(1.0), twins, opts);
+    EXPECT_LT(wide.best.metric, wide.zero_metric);
 }
 
 // --------------------------------------- lockstep convergence (S2)

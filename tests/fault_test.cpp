@@ -239,17 +239,28 @@ TEST(FaultRuntime, FlapFailsRetriesAndAccounts)
         runOneCollective(topo, runtime::themisScfConfig());
     EXPECT_GT(faulted.duration, clean.duration);
 
-    // Conservation: wire bytes = useful schedule bytes + re-sent.
-    for (int d = 0; d < topo.numDims(); ++d) {
-        auto& clean_ch = clean.comm->engine(d).channel();
-        auto& fault_ch = faulted.comm->engine(d).channel();
-        clean_ch.sync();
-        fault_ch.sync();
-        const Bytes want = clean_ch.progressedBytes() +
-                           comm.engine(d).lostBytes();
-        EXPECT_NEAR(fault_ch.progressedBytes(), want,
-                    1.0 + 1e-6 * want)
-            << "dim " << d;
+    // Every retry succeeds (a negative duration is an undone
+    // collective) and wire bytes = useful schedule bytes + re-sent:
+    // for this flap, a parsed seeded storm and a parsed compound.
+    FaultTimeline storm =
+        FaultTimeline::parse("storm@0+1e6:dim=0,flaps=4,down=1e4,seed=7");
+    FaultTimeline compound = FaultTimeline::parse(
+        "degrade@1e5+3e5:dim=0,factor=0.25;flap@5e5+2e4:dim=1");
+    for (const FaultTimeline* timeline : {&tl, &storm, &compound}) {
+        cfg.faults = timeline;
+        const auto run = runOneCollective(topo, cfg);
+        EXPECT_GT(run.duration, 0.0) << timeline->describe();
+        for (int d = 0; d < topo.numDims(); ++d) {
+            auto& clean_ch = clean.comm->engine(d).channel();
+            auto& fault_ch = run.comm->engine(d).channel();
+            clean_ch.sync();
+            fault_ch.sync();
+            const Bytes want = clean_ch.progressedBytes() +
+                               run.comm->engine(d).lostBytes();
+            EXPECT_NEAR(fault_ch.progressedBytes(), want,
+                        1.0 + 1e-6 * want)
+                << "dim " << d << " of " << timeline->describe();
+        }
     }
 }
 

@@ -14,7 +14,9 @@
  *  - the data plane reduces/gathers correctly for random machines and
  *    random stage orders;
  *  - mixed-period cluster mixes replay steady cycles bit-identically
- *    to full simulation on random platforms.
+ *    to full simulation on random platforms;
+ *  - k x every bandwidth and 1/k x every step latency make a lone
+ *    collective exactly k x faster.
  */
 
 #include <gtest/gtest.h>
@@ -195,6 +197,37 @@ TEST_P(RuntimeFuzz, ShadowEnforcementMatchesPolicy)
     const TimeNs policy = run(false);
     const TimeNs enforced = run(true);
     EXPECT_NEAR(policy, enforced, 1e-9 * policy) << topo.describe();
+}
+
+TEST_P(RuntimeFuzz, ScalingBandwidthAndLatencyScalesTime)
+{
+    // Metamorphic: k x every dimension's bandwidth and 1/k x its step
+    // latency make a lone collective exactly k x faster, under the
+    // baseline and under Themis. k is a power of two, so every scaled
+    // product is exact and the times match bit for bit.
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + 5000);
+    const Topology topo = randomTopology(rng);
+    const CollectiveRequest req = randomRequest(rng);
+    for (const auto& cfg :
+         {runtime::baselineConfig(), runtime::themisScfConfig()}) {
+        TimeNs unit = 0.0;
+        for (double k : {1.0, 2.0, 4.0}) {
+            std::vector<DimensionConfig> dims = topo.dims();
+            for (DimensionConfig& d : dims) {
+                d.link_bw_gbps *= k;
+                d.step_latency_ns /= k;
+            }
+            const Topology scaled("fuzz", std::move(dims));
+            sim::EventQueue queue;
+            runtime::CommRuntime comm(queue, scaled, cfg);
+            const int id = comm.issue(req);
+            queue.run();
+            if (k == 1.0)
+                unit = comm.record(id).duration();
+            EXPECT_EQ(comm.record(id).duration() * k, unit)
+                << "k=" << k << " on " << topo.describe();
+        }
+    }
 }
 
 TEST_P(RuntimeFuzz, SchedulesAreValidPermutations)

@@ -479,11 +479,13 @@ TEST(ClassStats, UniformPolicyCollapsesToOneClass)
 
 TEST(ClassStats, WeightsImproveUrgentCompletionAndConserveBytes)
 {
-    // The bench_priority_contention invariant in miniature: a bulk
-    // batch plus an urgent chain, run at unit vs 8x weights. The
-    // urgent mean must improve; the aggregate bytes must not change.
-    const Topology topo = presets::byName("2D-SW_SW");
-    auto run = [&](double ratio) {
+    // Two tenants share every dimension: an urgent chain of small
+    // All-Reduces (each issued as the previous completes) and a bulk
+    // batch issued at t=0, under tiered weight ratios 1 to 8 on two
+    // platforms. The aggregate bytes must not change with the ratio,
+    // and the urgent mean at 8x must beat the unit-weight split (the
+    // curve between is locally noisy: admission is discrete).
+    auto run = [](const Topology& topo, double ratio) {
         runtime::RuntimeConfig cfg = runtime::themisScfConfig();
         cfg.scheduler = SchedulerKind::ThemisPriority;
         cfg.priority = PriorityPolicy::tiered(ratio);
@@ -521,10 +523,18 @@ TEST(ClassStats, WeightsImproveUrgentCompletionAndConserveBytes)
         }
         return std::pair<TimeNs, Bytes>{mean, total};
     };
-    const auto flat = run(1.0);
-    const auto weighted = run(8.0);
-    EXPECT_LT(weighted.first, flat.first);
-    EXPECT_NEAR(weighted.second, flat.second, 1e-6 * flat.second);
+    for (const char* name : {"2D-SW_SW", "3D-SW_SW_SW_homo"}) {
+        const Topology topo = presets::byName(name);
+        const auto flat = run(topo, 1.0);
+        for (double ratio : {2.0, 4.0, 8.0}) {
+            const auto weighted = run(topo, ratio);
+            EXPECT_NEAR(weighted.second, flat.second, 1e-6 * flat.second)
+                << name << " x" << ratio;
+            if (ratio == 8.0) {
+                EXPECT_LT(weighted.first, flat.first) << name;
+            }
+        }
+    }
 }
 
 } // namespace

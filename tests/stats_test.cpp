@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the statistics layer: activity timelines (Fig 9
- * machinery), utilization windows (Fig 4 definition), CSV output and
- * text tables.
+ * machinery), utilization windows (Fig 4 definition) and text tables.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 #include <sstream>
 
 #include "stats/activity_timeline.hpp"
-#include "stats/csv_writer.hpp"
 #include "stats/summary.hpp"
 #include "stats/trace_writer.hpp"
 #include "stats/utilization_tracker.hpp"
@@ -135,23 +133,6 @@ TEST(UtilizationTracker, MismatchedWindowsPanics)
     EXPECT_DEATH(tracker.windowEnd(0.0), "no window");
     tracker.windowStart(0.0);
     EXPECT_DEATH(tracker.windowStart(1.0), "already open");
-}
-
-TEST(CsvWriter, WritesAndEscapes)
-{
-    const std::string path = "/tmp/themis_csv_test.csv";
-    {
-        CsvWriter csv(path);
-        csv.writeRow({"a", "b,c", "d\"e"});
-        csv.writeRow({"1", "2", "3"});
-    }
-    std::ifstream in(path);
-    std::string line1, line2;
-    std::getline(in, line1);
-    std::getline(in, line2);
-    EXPECT_EQ(line1, "a,\"b,c\",\"d\"\"e\"");
-    EXPECT_EQ(line2, "1,2,3");
-    std::remove(path.c_str());
 }
 
 TEST(TextTable, AlignsColumns)
