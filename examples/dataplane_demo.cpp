@@ -7,16 +7,17 @@
  * Runs a chunked All-Reduce on a small 4x2x4 machine with *real*
  * per-NPU buffers: each chunk takes the schedule Themis assigned it,
  * data moves through ring/halving-doubling/direct exchanges, and the
- * result is verified element by element. Also prints the consistency
- * planner's enforced per-dimension orders (Sec 4.6).
+ * result is verified element by element. Also prints the enforced
+ * per-dimension start orders (Sec 4.6.2): those of the collective
+ * running alone on the dimension engines.
  */
 
 #include <cstdio>
 
 #include "collective/dataplane/dataplane_collectives.hpp"
 #include "common/string_util.hpp"
-#include "core/consistency_planner.hpp"
 #include "core/themis_scheduler.hpp"
+#include "runtime/collective_session.hpp"
 
 using namespace themis;
 
@@ -80,17 +81,22 @@ main()
                     sched.chunk_id, ok ? "correct" : "WRONG");
     }
 
-    // Consistency plan: the per-dimension op order every NPU enforces.
-    ConsistencyPlanner planner(model, IntraDimPolicy::Scf);
-    const auto plan = planner.plan(schedules);
+    // The per-dimension op order every NPU enforces: the start order
+    // of the collective's lone run.
+    std::vector<std::pair<int, DimensionConfig>> indexed;
+    for (int d = 0; d < 3; ++d)
+        indexed.emplace_back(d, dims[static_cast<std::size_t>(d)]);
+    const auto orders = runtime::loneRunStartOrders(
+        CollectiveType::AllReduce, schedules, indexed, model,
+        IntraDimPolicy::Scf);
     std::printf("\nEnforced per-dimension start orders (Sec 4.6):\n");
-    for (std::size_t d = 0; d < plan.order.size(); ++d) {
+    for (std::size_t d = 0; d < orders.size(); ++d) {
         std::printf("  dim%zu:", d + 1);
-        for (const auto& op : plan.order[d])
+        for (const auto& op : orders[d])
             std::printf(" c%d.s%d", op.chunk_id, op.stage_index);
         std::printf("\n");
     }
     std::printf("Deadlock-free: %s\n",
-                planIsDeadlockFree(schedules, plan) ? "yes" : "NO");
+                planIsDeadlockFree(schedules, orders) ? "yes" : "NO");
     return all_ok ? 0 : 1;
 }

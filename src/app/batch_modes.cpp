@@ -185,11 +185,7 @@ runMerge(Session& s)
                                                               << "'");
     const std::vector<std::string> inputs(parts.begin() + 1, parts.end());
     const std::string merged = sim::ResultStore::canonicalMerge(inputs);
-    std::FILE* f = std::fopen(parts.front().c_str(), "wb");
-    if (f == nullptr)
-        THEMIS_FATAL("--merge: cannot write '" << parts.front() << "'");
-    std::fwrite(merged.data(), 1, merged.size(), f);
-    std::fclose(f);
+    writeFile(parts.front(), merged);
     std::printf("merged %zu store(s) -> %s (%zu bytes, canonical)\n",
                 inputs.size(), parts.front().c_str(), merged.size());
     RunReport report("merge");

@@ -1,8 +1,12 @@
 #include "common/string_util.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+
+#include "common/error.hpp"
 
 namespace themis {
 
@@ -127,6 +131,20 @@ toLower(std::string s)
     for (char& c : s)
         c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     return s;
+}
+
+void
+writeFile(const std::string& path, const std::string& bytes)
+{
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (f == nullptr)
+        THEMIS_FATAL("cannot open '" << path << "' for writing: "
+                                     << std::strerror(errno));
+    const bool wrote =
+        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
+    if (std::fclose(f) != 0 || !wrote)
+        THEMIS_FATAL("cannot write '" << path
+                                      << "': " << std::strerror(errno));
 }
 
 } // namespace themis

@@ -46,6 +46,12 @@ std::string toLower(std::string s);
  */
 std::string jsonEscape(const std::string& s);
 
+/**
+ * Write @p bytes to @p path, replacing it. Throws ConfigError naming
+ * the path when the open, the write or the close fails.
+ */
+void writeFile(const std::string& path, const std::string& bytes);
+
 } // namespace themis
 
 #endif // THEMIS_COMMON_STRING_UTIL_HPP

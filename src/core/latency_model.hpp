@@ -4,11 +4,13 @@
  *
  * Predicts chunk-operation runtimes on every network dimension from
  * the dimension's topology-aware algorithm (Table 1) and the cost
- * model A_K + N_K * B_K (Sec 4.4). Both the scheduler (to balance
- * loads) and the consistency planner (to pre-order chunk operations)
- * consume these predictions. A_K and B_K derive from the system
- * specification, so every NPU reproduces identical predictions —
- * the basis of inter-dimension schedule consistency (Sec 4.6.1).
+ * model A_K + N_K * B_K (Sec 4.4). The scheduler balances loads with
+ * these predictions; the dimension engines run each chunk op as the
+ * same A_K + N_K * B_K, in the collective's lone run that fixes the
+ * chunk-op start orders (Sec 4.6.2) as well as in the real run. A_K
+ * and B_K derive from the system specification, so every NPU
+ * reproduces identical predictions — the basis of inter-dimension
+ * schedule consistency (Sec 4.6.1).
  */
 
 #ifndef THEMIS_CORE_LATENCY_MODEL_HPP

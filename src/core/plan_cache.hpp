@@ -46,8 +46,8 @@
 #include <vector>
 
 #include "core/chunk.hpp"
-#include "core/consistency_planner.hpp"
 #include "core/intra_dim_policy.hpp"
+#include "core/op_order.hpp"
 #include "core/scheduler.hpp"
 
 namespace themis {

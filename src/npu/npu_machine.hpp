@@ -17,8 +17,11 @@
  *  - the paper's Sec 4.6.2 consistency problem, made concrete:
  *    injecting per-NPU runtime skew lets NPUs pick different chunk
  *    orders, which can deadlock (ops waiting on peers that are stuck
- *    behind them); enforcing the pre-simulated per-dimension order
- *    restores progress at a bounded cost.
+ *    behind them); enforcing the per-dimension start orders of the
+ *    collective's lone run (runtime::loneRunStartOrders(), the same
+ *    pre-simulation the runtime enforces) restores progress at a
+ *    bounded cost, and without skew reproduces the free-running
+ *    makespan exactly.
  */
 
 #ifndef THEMIS_NPU_NPU_MACHINE_HPP
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "collective/dataplane/logical_machine.hpp"
-#include "core/consistency_planner.hpp"
 #include "core/intra_dim_policy.hpp"
 #include "runtime/chunk_op.hpp"
 #include "runtime/dimension_engine.hpp"
@@ -59,8 +61,9 @@ struct NpuSimConfig
     std::uint64_t seed = 1;
 
     /**
-     * Per-dimension enforced start orders (Sec 4.6.2), identical on
-     * every NPU; empty = free-running policy order.
+     * Per-dimension enforced start orders (Sec 4.6.2, from
+     * runtime::loneRunStartOrders()), identical on every NPU; empty =
+     * free-running policy order.
      */
     std::vector<std::vector<OpKey>> enforced_order;
 };

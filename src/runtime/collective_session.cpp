@@ -137,4 +137,37 @@ CollectiveSession::onOpComplete(const ChunkOp& op)
     }
 }
 
+std::vector<std::vector<OpKey>>
+loneRunStartOrders(CollectiveType type,
+                   const std::vector<ChunkSchedule>& schedules,
+                   const std::vector<std::pair<int, DimensionConfig>>& dims,
+                   const LatencyModel& model, IntraDimPolicy policy,
+                   const AdmissionConfig& admission, const FlowClass& flow,
+                   PlanCache* step_cache)
+{
+    sim::EventQueue queue;
+    std::vector<std::unique_ptr<DimensionEngine>> engines;
+    std::vector<DimensionEngine*> engine_ptrs;
+    std::vector<std::vector<OpKey>> orders(dims.size());
+    for (std::size_t local = 0; local < dims.size(); ++local) {
+        engines.push_back(std::make_unique<DimensionEngine>(
+            queue, dims[local].second, dims[local].first, policy,
+            admission));
+        auto* bucket = &orders[local];
+        engines.back()->setStartListener([bucket](const OpTag& tag) {
+            bucket->push_back(OpKey{tag.chunk_id, tag.stage_index});
+        });
+        engine_ptrs.push_back(engines.back().get());
+    }
+    // Alone, the flow class cannot change relative order — passing it
+    // keeps the replay faithful.
+    CollectiveSession session(0, type, schedules, std::move(engine_ptrs),
+                              model, queue, nullptr, flow, step_cache);
+    session.start();
+    queue.run();
+    THEMIS_ASSERT(session.done(),
+                  "lone-run pre-simulation did not complete");
+    return orders;
+}
+
 } // namespace themis::runtime

@@ -340,9 +340,12 @@ CommRuntime::enforceOrders(int id, const PlanKey& key,
         return;
     }
     if (orders == nullptr)
-        orders = keepOrders(order_key,
-                            shadowPlanOrders(key.type, *schedules, scope,
-                                             model, flow));
+        orders = keepOrders(
+            order_key,
+            loneRunStartOrders(key.type, *schedules, plannedDims(scope),
+                               model, config_.intra_policy,
+                               config_.admission, flow,
+                               config_.plan_cache));
     THEMIS_ASSERT(orders->size() == scope.size(),
                   "order plan rank mismatch");
     for (std::size_t local = 0; local < scope.size(); ++local)
@@ -355,8 +358,10 @@ CommRuntime::materializeObserved()
     const Record& rec = records_[static_cast<std::size_t>(observed_.id)];
     const PlanCache::OrderPtr orders = keepOrders(
         observed_.key,
-        shadowPlanOrders(rec.type, *observed_.schedules, rec.scope,
-                         *observed_.model, rec.flow));
+        loneRunStartOrders(rec.type, *observed_.schedules,
+                           plannedDims(rec.scope), *observed_.model,
+                           config_.intra_policy, config_.admission,
+                           rec.flow, config_.plan_cache));
     for (std::size_t local = 0; local < rec.scope.size(); ++local)
         engines_[static_cast<std::size_t>(rec.scope[local].dim)]
             ->setEnforcedOrder(rec.id, (*orders)[local]);
@@ -694,45 +699,21 @@ CommRuntime::engine(int global_dim)
     return *engines_[static_cast<std::size_t>(global_dim)];
 }
 
-std::vector<std::vector<OpKey>>
-CommRuntime::shadowPlanOrders(CollectiveType type,
-                              const std::vector<ChunkSchedule>& schedules,
-                              const std::vector<ScopeDim>& scope,
-                              const LatencyModel& model,
-                              const FlowClass& flow)
+std::vector<std::pair<int, DimensionConfig>>
+CommRuntime::plannedDims(const std::vector<ScopeDim>& scope) const
 {
-    sim::EventQueue shadow_queue;
-    std::vector<std::unique_ptr<DimensionEngine>> shadow_engines;
-    std::vector<DimensionEngine*> engine_ptrs;
-    std::vector<std::vector<OpKey>> orders(scope.size());
-    for (std::size_t local = 0; local < scope.size(); ++local) {
-        DimensionConfig shadow_dim = topo_.dim(scope[local].dim);
+    std::vector<std::pair<int, DimensionConfig>> dims;
+    for (const ScopeDim& s : scope) {
+        DimensionConfig dim = topo_.dim(s.dim);
         if (capacity_fingerprint_ != 0) {
             // The shadow must replay the degraded fabric the orders
             // will run on, or its op interleaving would mispredict.
-            shadow_dim.link_bw_gbps *= planned_factors_[
-                static_cast<std::size_t>(scope[local].dim)];
+            dim.link_bw_gbps *=
+                planned_factors_[static_cast<std::size_t>(s.dim)];
         }
-        shadow_engines.push_back(std::make_unique<DimensionEngine>(
-            shadow_queue, std::move(shadow_dim),
-            scope[local].dim, config_.intra_policy, config_.admission));
-        auto* bucket = &orders[local];
-        shadow_engines.back()->setStartListener(
-            [bucket](const OpTag& tag) {
-                bucket->push_back(OpKey{tag.chunk_id, tag.stage_index});
-            });
-        engine_ptrs.push_back(shadow_engines.back().get());
+        dims.emplace_back(s.dim, std::move(dim));
     }
-    // The shadow runs the collective alone, so its flow class cannot
-    // change relative order — passing it keeps the replay faithful.
-    CollectiveSession shadow(0, type, schedules, std::move(engine_ptrs),
-                             model, shadow_queue, nullptr, flow,
-                             config_.plan_cache);
-    shadow.start();
-    shadow_queue.run();
-    THEMIS_ASSERT(shadow.done(),
-                  "shadow planning simulation did not complete");
-    return orders;
+    return dims;
 }
 
 void

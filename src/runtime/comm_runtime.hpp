@@ -86,10 +86,10 @@ struct RuntimeConfig
      * fabric. A collective issued at t = 0 onto an idle, fault-free
      * fabric *is* that run, so its engines observe the order as it
      * happens (and the plan cache stores it at completion); any
-     * other issue derives the order by a private shadow simulation
-     * first, and so does a later issue that overlaps an observed
-     * collective, which then follows the derived order from its
-     * observed prefix on. A lone collective runs exactly as without
+     * other issue derives the order by a shadow simulation
+     * (loneRunStartOrders()) first, and so does a later issue that
+     * overlaps an observed collective, which then follows the derived
+     * order from its observed prefix on. A lone collective runs exactly as without
      * enforcement; overlapping collectives do not, because each one
      * keeps its lone order instead of interleaving by policy.
      */
@@ -550,14 +550,12 @@ class CommRuntime
                                    std::vector<std::vector<OpKey>> orders);
 
     /**
-     * Replay @p schedules through a private shadow simulation and
-     * return the per-local-dimension op start orders (Sec 4.6.2).
+     * The (global index, config) pairs of @p scope as the fabric its
+     * enforced orders will run on: planned (possibly degraded)
+     * bandwidths, the input of a shadow loneRunStartOrders() run.
      */
-    std::vector<std::vector<OpKey>>
-    shadowPlanOrders(CollectiveType type,
-                     const std::vector<ChunkSchedule>& schedules,
-                     const std::vector<ScopeDim>& scope,
-                     const LatencyModel& model, const FlowClass& flow);
+    std::vector<std::pair<int, DimensionConfig>>
+    plannedDims(const std::vector<ScopeDim>& scope) const;
 
     sim::EventQueue& queue_ref_;
     Topology topo_;

@@ -6,10 +6,11 @@
  * the chunk operations queued or running on it. Responsibilities:
  *
  *  - intra-dimension ordering: FIFO or Smallest-Chunk-First
- *    (paper Sec 4.3), or an *enforced* per-collective order produced
- *    by the consistency planner (Sec 4.6.2). Flow-class tiers rank
- *    above the policy: among eligible ops, higher tiers select
- *    first, with an anti-starvation age bound (below);
+ *    (paper Sec 4.3), or an *enforced* per-collective order: the
+ *    start order of the collective's lone run (Sec 4.6.2,
+ *    loneRunStartOrders()). Flow-class tiers rank above the policy:
+ *    among eligible ops, higher tiers select first, with an
+ *    anti-starvation age bound (below);
  *  - admission: one big chunk at a time saturates the bandwidth, but
  *    small operations (transfer time below their fixed latency) run
  *    in parallel so their latency gaps overlap — the paper's second
@@ -74,8 +75,8 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "core/consistency_planner.hpp"
 #include "core/intra_dim_policy.hpp"
+#include "core/op_order.hpp"
 #include "runtime/chunk_op.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/shared_channel.hpp"
@@ -267,7 +268,7 @@ class DimensionEngine
 
     /**
      * Enforce a start order for the ops of @p collective_id on this
-     * dimension (consistency planner output, Sec 4.6.2). Ops of that
+     * dimension (a lone-run start order, Sec 4.6.2). Ops of that
      * collective then start exactly in this order; ops of other
      * collectives interleave by policy.
      *

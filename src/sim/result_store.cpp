@@ -254,9 +254,14 @@ ResultStore::ResultStore(std::string path) : path_(std::move(path))
         std::error_code ec;
         std::filesystem::create_directories(p.parent_path(), ec);
     }
+    // Only a regular file holds records: reading a device such as
+    // /dev/full or /dev/zero would never reach a newline.
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(p, ec))
+        return; // fresh store
     std::ifstream in(path_, std::ios::binary);
     if (!in.is_open())
-        return; // fresh store
+        return;
     std::string line;
     while (std::getline(in, line)) {
         // getline strips the '\n'; eof without a delimiter means the
@@ -305,19 +310,20 @@ ResultStore::append(ResultRecord rec)
         if (recovered_truncated_) {
             std::error_code ec;
             std::filesystem::resize_file(path_, valid_bytes_, ec);
-            THEMIS_ASSERT(!ec, "cannot truncate partial record in "
-                                   << path_ << ": " << ec.message());
+            if (ec)
+                THEMIS_FATAL("cannot truncate partial record in '"
+                             << path_ << "': " << ec.message());
         }
         out_.open(path_, std::ios::binary | std::ios::app);
-        THEMIS_ASSERT(out_.is_open(),
-                      "cannot open results journal " << path_);
+        if (!out_.is_open())
+            THEMIS_FATAL("cannot open results journal '" << path_ << "'");
         out_open_ = true;
     }
     const std::string line = serializeRecord(rec, true);
     out_ << line << '\n';
     out_.flush();
-    THEMIS_ASSERT(out_.good(),
-                  "write to results journal " << path_ << " failed");
+    if (!out_.good())
+        THEMIS_FATAL("cannot write results journal '" << path_ << "'");
     valid_bytes_ += line.size() + 1;
     index_.emplace(rec.key, records_.size());
     records_.push_back(std::move(rec));

@@ -95,9 +95,10 @@ class ResultStore
   public:
     /**
      * Open (creating parent directories as needed) and replay the
-     * journal at @p path. A partially-written trailing record is
-     * dropped and the file truncated to the last complete record
-     * before the first append.
+     * journal at @p path; anything but a regular file replays as
+     * empty. A partially-written trailing record is dropped and the
+     * file truncated to the last complete record before the first
+     * append.
      */
     explicit ResultStore(std::string path);
 
@@ -122,7 +123,8 @@ class ResultStore
 
     /**
      * Append one record and flush it to disk. Duplicate keys are a
-     * caller bug (resume must skip recorded cells) and panic.
+     * caller bug (resume must skip recorded cells) and panic; a
+     * failed open, truncation or write throws ConfigError.
      */
     void append(ResultRecord rec);
 

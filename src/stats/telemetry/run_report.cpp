@@ -1,8 +1,7 @@
 #include "stats/telemetry/run_report.hpp"
 
-#include <cstdio>
-
 #include "common/error.hpp"
+#include "common/string_util.hpp"
 #include "stats/telemetry/flight_recorder.hpp"
 #include "stats/telemetry/json_writer.hpp"
 #include "stats/telemetry/metrics.hpp"
@@ -137,11 +136,7 @@ RunReport::toJson() const
 void
 RunReport::writeFile(const std::string& path) const
 {
-    const std::string json = toJson();
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    THEMIS_ASSERT(f != nullptr, "cannot open report file " << path);
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
+    themis::writeFile(path, toJson());
 }
 
 } // namespace themis::stats::telemetry

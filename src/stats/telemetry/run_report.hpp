@@ -67,6 +67,7 @@ public:
     const std::string& mode() const { return mode_; }
 
     std::string toJson() const;
+    /** Write toJson() to @p path; throws ConfigError on failure. */
     void writeFile(const std::string& path) const;
 
 private:

@@ -1,7 +1,6 @@
 #include "stats/trace_writer.hpp"
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
@@ -177,10 +176,7 @@ TraceWriter::toJson() const
 void
 TraceWriter::writeFile(const std::string& path) const
 {
-    std::ofstream out(path);
-    if (!out)
-        THEMIS_FATAL("cannot open trace output file '" << path << "'");
-    out << toJson();
+    themis::writeFile(path, toJson());
 }
 
 } // namespace themis::stats

@@ -113,6 +113,23 @@ TEST(Strings, ToLower)
     EXPECT_EQ(toLower("Themis-SCF"), "themis-scf");
 }
 
+TEST(Strings, WriteFileFailureNamesThePath)
+{
+    // A full device fails the write or the close, a missing directory
+    // the open; each throws a ConfigError naming the path.
+    for (const std::string path :
+         {"/dev/full", "/nonexistent-dir/report.json"}) {
+        try {
+            writeFile(path, "{}\n");
+            ADD_FAILURE() << path << " did not throw";
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + path + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(123), b(123);

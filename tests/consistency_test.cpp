@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the schedule-consistency pre-simulation (paper Sec 4.6):
- * the planner's per-dimension orders cover every chunk operation
- * exactly once, are deterministic, and are deadlock-free together
- * with the chunks' stage orders.
+ * the lone-run start orders cover every chunk operation exactly once,
+ * are deterministic, and are deadlock-free together with the chunks'
+ * stage orders.
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +11,8 @@
 #include <map>
 
 #include "core/baseline_scheduler.hpp"
-#include "core/consistency_planner.hpp"
 #include "core/themis_scheduler.hpp"
+#include "runtime/collective_session.hpp"
 #include "topology/presets.hpp"
 
 namespace themis {
@@ -26,19 +26,32 @@ themisSchedules(const LatencyModel& model, Bytes size, int chunks)
                                     chunks);
 }
 
-TEST(ConsistencyPlanner, CoversEveryOpExactlyOnce)
+/** Start orders of @p schedules running alone on all of @p topo. */
+std::vector<std::vector<OpKey>>
+loneRunOrders(const Topology& topo, const LatencyModel& model,
+              const std::vector<ChunkSchedule>& schedules,
+              IntraDimPolicy policy)
 {
-    const auto model =
-        LatencyModel::fromTopology(presets::make3DSwSwSwHetero());
+    std::vector<std::pair<int, DimensionConfig>> dims;
+    for (int d = 0; d < topo.numDims(); ++d)
+        dims.emplace_back(d, topo.dim(d));
+    return runtime::loneRunStartOrders(CollectiveType::AllReduce,
+                                       schedules, dims, model, policy);
+}
+
+TEST(StartOrders, CoversEveryOpExactlyOnce)
+{
+    const auto topo = presets::make3DSwSwSwHetero();
+    const auto model = LatencyModel::fromTopology(topo);
     const auto schedules = themisSchedules(model, 1.0e9, 16);
-    ConsistencyPlanner planner(model, IntraDimPolicy::Scf);
-    const auto plan = planner.plan(schedules);
-    ASSERT_EQ(plan.order.size(), 3u);
+    const auto orders =
+        loneRunOrders(topo, model, schedules, IntraDimPolicy::Scf);
+    ASSERT_EQ(orders.size(), 3u);
 
     std::map<std::pair<int, int>, int> seen;
     std::size_t total = 0;
     for (int d = 0; d < 3; ++d) {
-        for (const auto& op : plan.order[static_cast<std::size_t>(d)]) {
+        for (const auto& op : orders[static_cast<std::size_t>(d)]) {
             ++seen[{op.chunk_id, op.stage_index}];
             ++total;
             // The op's stage must actually target this dimension.
@@ -55,73 +68,57 @@ TEST(ConsistencyPlanner, CoversEveryOpExactlyOnce)
         EXPECT_EQ(count, 1);
 }
 
-TEST(ConsistencyPlanner, DeterministicAcrossCalls)
+TEST(StartOrders, DeterministicAcrossCalls)
 {
-    const auto model =
-        LatencyModel::fromTopology(presets::make4DRingFcRingSw());
+    const auto topo = presets::make4DRingFcRingSw();
+    const auto model = LatencyModel::fromTopology(topo);
     const auto schedules = themisSchedules(model, 0.5e9, 32);
-    ConsistencyPlanner planner(model, IntraDimPolicy::Scf);
-    const auto a = planner.plan(schedules);
-    const auto b = planner.plan(schedules);
-    ASSERT_EQ(a.order.size(), b.order.size());
-    for (std::size_t d = 0; d < a.order.size(); ++d) {
-        ASSERT_EQ(a.order[d].size(), b.order[d].size());
-        for (std::size_t i = 0; i < a.order[d].size(); ++i)
-            EXPECT_TRUE(a.order[d][i] == b.order[d][i]);
+    const auto a =
+        loneRunOrders(topo, model, schedules, IntraDimPolicy::Scf);
+    const auto b =
+        loneRunOrders(topo, model, schedules, IntraDimPolicy::Scf);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t d = 0; d < a.size(); ++d) {
+        ASSERT_EQ(a[d].size(), b[d].size());
+        for (std::size_t i = 0; i < a[d].size(); ++i)
+            EXPECT_TRUE(a[d][i] == b[d][i]);
     }
-    EXPECT_DOUBLE_EQ(a.estimated_makespan, b.estimated_makespan);
 }
 
-TEST(ConsistencyPlanner, PlansAreDeadlockFree)
+TEST(StartOrders, PlansAreDeadlockFree)
 {
     for (const auto& topo : presets::nextGenTopologies()) {
         const auto model = LatencyModel::fromTopology(topo);
         const auto schedules = themisSchedules(model, 1.0e8, 16);
         for (auto policy :
              {IntraDimPolicy::Fifo, IntraDimPolicy::Scf}) {
-            ConsistencyPlanner planner(model, policy);
-            const auto plan = planner.plan(schedules);
-            EXPECT_TRUE(planIsDeadlockFree(schedules, plan))
+            const auto orders =
+                loneRunOrders(topo, model, schedules, policy);
+            EXPECT_TRUE(planIsDeadlockFree(schedules, orders))
                 << topo.name() << " / " << intraDimPolicyName(policy);
         }
     }
 }
 
-TEST(ConsistencyPlanner, MakespanPositiveAndPolicySensitive)
-{
-    const auto model =
-        LatencyModel::fromTopology(presets::make3DSwSwSwHomo());
-    const auto schedules = themisSchedules(model, 1.0e9, 64);
-    ConsistencyPlanner fifo(model, IntraDimPolicy::Fifo);
-    ConsistencyPlanner scf(model, IntraDimPolicy::Scf);
-    const auto pf = fifo.plan(schedules);
-    const auto ps = scf.plan(schedules);
-    EXPECT_GT(pf.estimated_makespan, 0.0);
-    EXPECT_GT(ps.estimated_makespan, 0.0);
-    // SCF exists to reduce starvation: it must not be slower here.
-    EXPECT_LE(ps.estimated_makespan, pf.estimated_makespan * 1.001);
-}
-
-TEST(ConsistencyPlanner, BaselineFirstDimOrderIsChunkOrder)
+TEST(StartOrders, BaselineFirstDimOrderIsChunkOrder)
 {
     // Baseline + FIFO: every chunk has the same schedule, so dim1
     // starts RS ops in chunk order.
-    const auto model =
-        LatencyModel::fromTopology(presets::make2DSwSw());
+    const auto topo = presets::make2DSwSw();
+    const auto model = LatencyModel::fromTopology(topo);
     BaselineScheduler sched(model);
     const auto schedules =
         sched.scheduleCollective(CollectiveType::AllReduce, 2.56e8, 8);
-    ConsistencyPlanner planner(model, IntraDimPolicy::Fifo);
-    const auto plan = planner.plan(schedules);
+    const auto orders =
+        loneRunOrders(topo, model, schedules, IntraDimPolicy::Fifo);
     for (int i = 0; i < 8; ++i) {
-        EXPECT_EQ(plan.order[0][static_cast<std::size_t>(i)].chunk_id,
-                  i);
-        EXPECT_EQ(
-            plan.order[0][static_cast<std::size_t>(i)].stage_index, 0);
+        EXPECT_EQ(orders[0][static_cast<std::size_t>(i)].chunk_id, i);
+        EXPECT_EQ(orders[0][static_cast<std::size_t>(i)].stage_index,
+                  0);
     }
 }
 
-TEST(ConsistencyPlanner, CyclicOrderIsDetectedAsDeadlock)
+TEST(StartOrders, CyclicOrderIsDetectedAsDeadlock)
 {
     // Hand-build a cyclic plan: chunk 0 stage 0 must run before
     // chunk 1 stage 0 on dim A, but chunk 1 stage... the reverse on
@@ -135,16 +132,14 @@ TEST(ConsistencyPlanner, CyclicOrderIsDetectedAsDeadlock)
     schedules[1].size = 1.0;
     schedules[1].stages = {{Phase::ReduceScatter, 1},
                            {Phase::ReduceScatter, 0}};
-    ConsistencyPlan bad;
     // dim0: chunk1.stage1 before chunk0.stage0;
     // dim1: chunk0.stage1 before chunk1.stage0 -> cycle.
-    bad.order = {{OpKey{1, 1}, OpKey{0, 0}},
-                 {OpKey{0, 1}, OpKey{1, 0}}};
+    const std::vector<std::vector<OpKey>> bad = {
+        {OpKey{1, 1}, OpKey{0, 0}}, {OpKey{0, 1}, OpKey{1, 0}}};
     EXPECT_FALSE(planIsDeadlockFree(schedules, bad));
 
-    ConsistencyPlan good;
-    good.order = {{OpKey{0, 0}, OpKey{1, 1}},
-                  {OpKey{1, 0}, OpKey{0, 1}}};
+    const std::vector<std::vector<OpKey>> good = {
+        {OpKey{0, 0}, OpKey{1, 1}}, {OpKey{1, 0}, OpKey{0, 1}}};
     EXPECT_TRUE(planIsDeadlockFree(schedules, good));
 }
 

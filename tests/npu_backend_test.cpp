@@ -3,7 +3,8 @@
  * Per-NPU backend tests: exact cross-validation against the
  * dimension-granular runtime on symmetric platforms, per-NPU byte
  * accounting, and the Sec 4.6.2 consistency story — skew can deadlock
- * free-running queues; the enforced pre-simulated order cannot.
+ * free-running queues; the enforced lone-run order cannot, and
+ * without skew it costs nothing.
  */
 
 #include <gtest/gtest.h>
@@ -47,6 +48,20 @@ themisSchedules(const Topology& topo, Bytes size, int chunks)
     ThemisScheduler sched(model);
     return sched.scheduleCollective(CollectiveType::AllReduce, size,
                                     chunks);
+}
+
+/** Start orders of @p schedules running alone on all of @p topo. */
+std::vector<std::vector<OpKey>>
+loneRunOrders(const Topology& topo,
+              const std::vector<ChunkSchedule>& schedules,
+              IntraDimPolicy policy)
+{
+    std::vector<std::pair<int, DimensionConfig>> dims;
+    for (int d = 0; d < topo.numDims(); ++d)
+        dims.emplace_back(d, topo.dim(d));
+    return runtime::loneRunStartOrders(
+        CollectiveType::AllReduce, schedules, dims,
+        LatencyModel::fromTopology(topo), policy);
 }
 
 TimeNs
@@ -155,6 +170,42 @@ TEST(NpuBackend, SkewedFreeRunningQueuesCanDeadlock)
            "unnecessary";
 }
 
+TEST(NpuBackend, EnforcedLoneRunOrderCostsNothingWithoutSkew)
+{
+    // Without skew every NPU runs the collective exactly as its lone
+    // run did, so enforcing that run's start orders changes nothing:
+    // the per-NPU makespan equals the free-running one bit for bit,
+    // and matches the runtime's enforced duration.
+    const auto topo = smallTopology();
+    const Bytes size = 128.0e6;
+    for (auto policy : {IntraDimPolicy::Scf, IntraDimPolicy::Fifo}) {
+        auto runtime_cfg = policy == IntraDimPolicy::Scf
+                               ? runtime::themisScfConfig()
+                               : runtime::themisFifoConfig();
+        runtime_cfg.enforce_consistent_order = true;
+        for (int chunks : {4, 16, 64}) {
+            const auto schedules = themisSchedules(topo, size, chunks);
+            npu::NpuSimConfig cfg;
+            cfg.policy = policy;
+            const auto free_running = npu::simulatePerNpu(
+                topo, CollectiveType::AllReduce, schedules, cfg);
+            cfg.enforced_order = loneRunOrders(topo, schedules, policy);
+            const auto enforced = npu::simulatePerNpu(
+                topo, CollectiveType::AllReduce, schedules, cfg);
+            ASSERT_TRUE(free_running.completed);
+            ASSERT_TRUE(enforced.completed);
+            EXPECT_EQ(enforced.makespan, free_running.makespan)
+                << intraDimPolicyName(policy) << ", " << chunks
+                << " chunks";
+            const TimeNs frontend =
+                frontendTime(topo, runtime_cfg, size, chunks);
+            EXPECT_NEAR(enforced.makespan, frontend, 1e-6 * frontend)
+                << intraDimPolicyName(policy) << ", " << chunks
+                << " chunks";
+        }
+    }
+}
+
 TEST(NpuBackend, EnforcedOrderSurvivesEverySkewSeed)
 {
     // The paper's fix: all NPUs execute the same pre-simulated
@@ -162,14 +213,13 @@ TEST(NpuBackend, EnforcedOrderSurvivesEverySkewSeed)
     // stays bounded.
     const auto topo = smallTopology();
     const auto schedules = themisSchedules(topo, 64.0e6, 16);
-    const auto model = LatencyModel::fromTopology(topo);
-    ConsistencyPlanner planner(model, IntraDimPolicy::Scf);
-    const auto plan = planner.plan(schedules);
-    ASSERT_TRUE(planIsDeadlockFree(schedules, plan));
+    const auto orders =
+        loneRunOrders(topo, schedules, IntraDimPolicy::Scf);
+    ASSERT_TRUE(planIsDeadlockFree(schedules, orders));
 
     const auto unskewed = [&] {
         npu::NpuSimConfig cfg;
-        cfg.enforced_order = plan.order;
+        cfg.enforced_order = orders;
         return npu::simulatePerNpu(topo, CollectiveType::AllReduce,
                                    schedules, cfg);
     }();
@@ -179,7 +229,7 @@ TEST(NpuBackend, EnforcedOrderSurvivesEverySkewSeed)
         npu::NpuSimConfig cfg;
         cfg.max_skew_ns = 50000.0;
         cfg.seed = seed;
-        cfg.enforced_order = plan.order;
+        cfg.enforced_order = orders;
         const auto result = npu::simulatePerNpu(
             topo, CollectiveType::AllReduce, schedules, cfg);
         EXPECT_TRUE(result.completed) << "seed " << seed;

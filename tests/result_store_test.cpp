@@ -207,6 +207,22 @@ TEST(ResultStoreJournal, DropsTruncatedTailAndResumesCleanly)
     std::filesystem::remove(path);
 }
 
+TEST(ResultStoreJournal, FailedAppendThrowsNamingThePath)
+{
+    // A device replays as an empty store (reading /dev/full never
+    // ends a line), and its failed write is a ConfigError.
+    ResultStore store("/dev/full");
+    EXPECT_TRUE(store.records().empty());
+    try {
+        store.append(syntheticCell(0));
+        ADD_FAILURE() << "append to a full device did not throw";
+    } catch (const ConfigError& e) {
+        EXPECT_NE(std::string(e.what()).find("'/dev/full'"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ShardSpecTest, ParsesValidSpecs)
 {
     const ShardSpec s = sim::parseShardSpec("1/4");
