@@ -120,12 +120,33 @@ struct ChunkOp
 };
 
 /**
- * Build a ChunkOp for @p phase of chunk @p tag on dimension @p dim
- * (computes the step plan and time aggregates). @p flow is the parent
- * collective's flow class. When @p step_cache is non-null the lumped
- * step aggregates are memoized under (phase, entering,
+ * The lumped step aggregates of @p phase on dimension @p dim for
+ * @p entering bytes per NPU (Sec 4.4: one fixed delay A_K, then one
+ * transfer of the full wire volume N_K). When @p step_cache is
+ * non-null they are memoized under (phase, entering,
  * @p dim_fingerprint) — pass LatencyModel::dimFingerprint() of the
  * stage's dimension.
+ */
+StepSummary stepSummaryFor(Phase phase, Bytes entering,
+                           const DimensionConfig& dim,
+                           PlanCache* step_cache = nullptr,
+                           std::uint64_t dim_fingerprint = 0);
+
+/**
+ * Fill the fresh @p op for @p phase of chunk @p tag on dimension
+ * @p dim from its step aggregates @p summary. This is the one op
+ * builder; taking the summary lets a caller resolve it once per
+ * stage. @p flow is the parent collective's flow class.
+ */
+void buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase,
+                  int local_dim, int global_dim, Bytes entering,
+                  const DimensionConfig& dim, const StepSummary& summary,
+                  const std::function<void(const ChunkOp&)>& on_complete,
+                  const FlowClass& flow);
+
+/**
+ * Build a ChunkOp for @p phase of chunk @p tag on dimension @p dim:
+ * stepSummaryFor() then buildChunkOp().
  */
 ChunkOp makeChunkOp(const OpTag& tag, Phase phase, int local_dim,
                     int global_dim, Bytes entering,

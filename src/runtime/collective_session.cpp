@@ -57,6 +57,7 @@ CollectiveSession::reset(int id, CollectiveType type,
     on_done_ = std::move(on_done);
     flow_ = flow;
     step_cache_ = step_cache;
+    steps_.clear();
     // on_op_complete_ captures `this`, which is stable — reuse it.
     completed_chunks_ = 0;
     start_time_ = 0.0;
@@ -106,11 +107,27 @@ CollectiveSession::submitStage(std::size_t chunk_idx, int stage_index,
         sched.stages[static_cast<std::size_t>(stage_index)];
     DimensionEngine* engine =
         engines_[static_cast<std::size_t>(stage.dim)];
-    OpTag tag{id_, sched.chunk_id, stage_index};
-    engine->enqueue(makeChunkOp(
-        tag, stage.phase, stage.dim, engine->globalDim(), entering,
-        model_->dim(stage.dim), on_op_complete_, flow_, step_cache_,
-        model_->dimFingerprint(stage.dim)));
+    ChunkOp op;
+    buildChunkOp(op, OpTag{id_, sched.chunk_id, stage_index}, stage.phase,
+                 stage.dim, engine->globalDim(), entering,
+                 model_->dim(stage.dim),
+                 stepFor(stage.phase, entering, stage.dim),
+                 on_op_complete_, flow_);
+    engine->enqueue(std::move(op));
+}
+
+const StepSummary&
+CollectiveSession::stepFor(Phase phase, Bytes entering, int local_dim)
+{
+    const StepKey key{phase, entering, model_->dimFingerprint(local_dim)};
+    for (const auto& [k, summary] : steps_)
+        if (k == key)
+            return summary;
+    steps_.emplace_back(key, stepSummaryFor(phase, entering,
+                                            model_->dim(local_dim),
+                                            step_cache_,
+                                            key.dim_fingerprint));
+    return steps_.back().second;
 }
 
 void

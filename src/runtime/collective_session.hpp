@@ -106,6 +106,10 @@ class CollectiveSession
   private:
     void submitStage(std::size_t chunk_idx, int stage_index,
                      Bytes entering);
+    /** Step aggregates of (phase, entering, local dim), resolved
+     *  once per collective through steps_. */
+    const StepSummary& stepFor(Phase phase, Bytes entering,
+                               int local_dim);
     void onOpComplete(const ChunkOp& op);
     /** Shared schedule/engine/model consistency checks. */
     void validate() const;
@@ -122,6 +126,13 @@ class CollectiveSession
     /** One op-completion closure, built once and copied per op
      *  (small-buffer copy; no per-stage closure allocations). */
     std::function<void(const ChunkOp&)> on_op_complete_;
+    /**
+     * This collective's resolved step aggregates: every op of a stage
+     * shares its key, so the plan cache sees one lookup per distinct
+     * key instead of one per op. A handful of entries; cleared by
+     * reset().
+     */
+    std::vector<std::pair<StepKey, StepSummary>> steps_;
 
     std::size_t completed_chunks_ = 0;
     TimeNs start_time_ = 0.0;

@@ -92,7 +92,7 @@ DimensionEngine::beginIterationEpoch()
 }
 
 std::uint32_t
-DimensionEngine::acquireSlot(ChunkOp op)
+DimensionEngine::acquireSlot(ChunkOp&& op)
 {
     std::uint32_t s = free_slot_;
     if (s != kNoSlot) {
@@ -388,7 +388,7 @@ DimensionEngine::notifyPresence()
 }
 
 void
-DimensionEngine::enqueue(ChunkOp op)
+DimensionEngine::enqueue(ChunkOp&& op)
 {
     THEMIS_ASSERT(op.global_dim == global_dim_,
                   "op for dim " << op.global_dim << " enqueued on dim "

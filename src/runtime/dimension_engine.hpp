@@ -263,8 +263,11 @@ class DimensionEngine
     DimensionEngine(const DimensionEngine&) = delete;
     DimensionEngine& operator=(const DimensionEngine&) = delete;
 
-    /** Queue @p op; it starts when ordering and admission allow. */
-    void enqueue(ChunkOp op);
+    /**
+     * Queue @p op, moved once into its slab slot; it starts when
+     * ordering and admission allow.
+     */
+    void enqueue(ChunkOp&& op);
 
     /**
      * Enforce a start order for the ops of @p collective_id on this
@@ -477,7 +480,7 @@ class DimensionEngine
         return pages_[s >> kPageShift][s & (kPageSlots - 1)];
     }
     /** Store @p op in a free slot (a new page if none is free). */
-    std::uint32_t acquireSlot(ChunkOp op);
+    std::uint32_t acquireSlot(ChunkOp&& op);
     /** Return slot @p s to the free list; its handles go stale. */
     void releaseSlot(std::uint32_t s);
     OpHandle

@@ -18,21 +18,33 @@
  *
  * Two pending-set front ends sit on top of the slab:
  *
- *  - Calendar (default): a calendar queue (R. Brown, CACM '88) —
- *    entries hash into time buckets of adaptive width, and the
- *    monotone pop pattern of a simulation advances bucket by bucket,
- *    making schedule/pop amortized O(1). Bucket count and width
- *    re-adapt to the live event population, so bursty horizons and
- *    long idle gaps stay cheap, and an occupancy bit per bucket lets
- *    a pop skip empty buckets without touching them.
- *  - Heap: the classic binary heap, O(log n) per pop. Kept selectable
- *    so benches can measure the calendar front end against it in the
- *    same binary.
+ *  - Heap (default): an indexed 4-ary heap in one flat vector. Each
+ *    slot records its entry's heap position, so cancel() removes the
+ *    entry eagerly in O(log n) — no tombstone ever sits in the heap —
+ *    and retime() moves a stored event in place. With a handful of
+ *    events pending (the median is 1 on a full-sim training
+ *    iteration) a few compares beat the calendar's bucket scan; at
+ *    ~20 pending the calendar pops faster, but the heap's in-place
+ *    retime still makes the simulation as a whole no slower.
+ *  - Calendar: a calendar queue (R. Brown, CACM '88) — entries hash
+ *    into time buckets of adaptive width, and the monotone pop
+ *    pattern of a simulation advances bucket by bucket, making
+ *    schedule/pop amortized O(1). Bucket count and width re-adapt to
+ *    the live event population, and an occupancy bit per bucket lets
+ *    a pop skip empty buckets without touching them. It remains
+ *    selectable only so perfbench can keep measuring it against the
+ *    heap in the same binary; it goes once the benchmark stops naming
+ *    it.
  *
  * Both front ends fire events in the identical (timestamp, sequence)
  * order, so simulation results are bit-identical across them. The run
  * loops pop whole same-timestamp cohorts at once: one front-end
  * search serves every event of that timestamp.
+ *
+ * retime() is the cheap form of cancel() + schedule() for a handler
+ * whose deadline moved (a shared channel's next completion): the
+ * event keeps its slot, closure and id, and takes a fresh sequence
+ * number, so it orders exactly as the re-scheduled event would.
  */
 
 #ifndef THEMIS_SIM_EVENT_QUEUE_HPP
@@ -42,7 +54,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -54,8 +65,8 @@ namespace themis::sim {
 
 /** Pending-event store implementation; see file comment. */
 enum class EventFrontEnd {
-    Calendar, ///< bucketed calendar queue, amortized O(1) monotone pops
-    Heap,     ///< binary heap, O(log n) pops (measurement baseline)
+    Calendar, ///< bucketed calendar queue (measurement baseline)
+    Heap,     ///< indexed 4-ary heap, eager cancel (default)
 };
 
 /** Front-end name for reports ("calendar"/"heap"). */
@@ -79,7 +90,7 @@ class EventQueue
     /** Closure bytes stored in place; larger handlers are boxed. */
     static constexpr std::size_t kInlineCapacity = 48;
 
-    explicit EventQueue(EventFrontEnd front_end = EventFrontEnd::Calendar);
+    explicit EventQueue(EventFrontEnd front_end = EventFrontEnd::Heap);
     ~EventQueue() { releaseAll(); }
 
     EventQueue(const EventQueue&) = delete;
@@ -130,10 +141,22 @@ class EventQueue
     }
 
     /**
-     * Cancel a pending event in O(1). Cancelling an already-fired or
-     * unknown id is a harmless no-op (completion races are normal).
+     * Cancel a pending event; its entry leaves the pending store at
+     * once. Cancelling an already-fired or unknown id is a harmless
+     * no-op (completion races are normal).
      */
     void cancel(EventId id);
+
+    /**
+     * Move the stored event @p id to absolute time @p when (>= now())
+     * in place, keeping its id and closure. It takes a fresh sequence
+     * number, so it fires exactly where cancel(id) followed by
+     * schedule(when, same handler) would.
+     * @return false, changing nothing, when the event is not stored:
+     *         fired, cancelled, stale, or already collected into the
+     *         same-timestamp cohort now firing.
+     */
+    bool retime(EventId id, TimeNs when);
 
     /** True when no live (non-cancelled) events remain. */
     bool empty() const { return live_events_ == 0; }
@@ -192,14 +215,13 @@ class EventQueue
         std::uint32_t generation = 0;
         std::uint32_t next_free = kNoSlot;
         /**
-         * Calendar back-pointer: bucket and position of this event's
-         * pending entry, so cancel() removes it eagerly in O(1)
-         * (kNoSlot bucket = not stored, e.g. already collected into a
-         * firing cohort). Unused by the heap front end, which discards
-         * cancelled entries lazily.
+         * Back-pointer to this event's pending entry, so cancel() and
+         * retime() find it without a search: calendar bucket and
+         * position, or (bucket 0) heap index. kNoSlot bucket = not
+         * stored, e.g. already collected into a firing cohort.
          */
-        std::uint32_t cal_bucket = kNoSlot;
-        std::uint32_t cal_pos = 0;
+        std::uint32_t bucket = kNoSlot;
+        std::uint32_t pos = 0;
     };
 
     struct Entry
@@ -210,16 +232,14 @@ class EventQueue
         std::uint32_t generation;
     };
 
-    struct Later
+    /** Firing order: (timestamp, sequence). */
+    static bool
+    earlier(const Entry& a, const Entry& b)
     {
-        bool
-        operator()(const Entry& a, const Entry& b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        if (a.when != b.when)
+            return a.when < b.when;
+        return a.seq < b.seq;
+    }
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -299,7 +319,16 @@ class EventQueue
     void calInit();
 
     // Heap front end.
-    bool heapPeek(Entry& out);
+    void heapPush(const Entry& e);
+    /** Remove the entry at heap index @p pos. */
+    void heapRemoveAt(std::size_t pos);
+    /** Store @p e at heap index @p pos, fixing its back-pointer. */
+    void heapPlace(std::size_t pos, const Entry& e);
+    /** Restore heap order for the entry at @p pos; moves it up or
+     *  down, whichever its key needs. */
+    void heapFix(std::size_t pos);
+    void heapSiftUp(std::size_t pos, Entry e);
+    void heapSiftDown(std::size_t pos, Entry e);
 
     EventFrontEnd front_end_;
     TimeNs now_ = 0.0;
@@ -308,7 +337,8 @@ class EventQueue
     std::vector<Slot> slots_;
     std::uint32_t free_head_ = kNoSlot;
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    /** Min-heap on (when, seq); no cancelled entry is ever stored. */
+    std::vector<Entry> heap_;
 
     std::vector<std::vector<Entry>> buckets_;
     /**

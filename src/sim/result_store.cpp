@@ -344,6 +344,16 @@ ResultStore::canonicalBytes() const
 std::string
 ResultStore::canonicalMerge(const std::vector<std::string>& paths)
 {
+    // A shard path that names nothing would otherwise open as an
+    // empty store (creating its directory) and silently drop the
+    // shard's cells: check every input before touching any.
+    for (const std::string& path : paths) {
+        std::error_code ec;
+        if (!std::filesystem::is_regular_file(path, ec))
+            THEMIS_FATAL("merge input '" << path
+                                         << "' is not an existing "
+                                            "regular file");
+    }
     std::map<std::string, ResultRecord> by_key;
     for (const std::string& path : paths) {
         ResultStore store(path);

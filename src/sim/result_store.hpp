@@ -143,7 +143,9 @@ class ResultStore
      * simulated the same cells. Duplicate keys across journals must
      * carry bit-identical results (ConfigError otherwise: shards are
      * disjoint by construction, so a conflicting duplicate means the
-     * inputs are not shards of one grid).
+     * inputs are not shards of one grid). Every input must be an
+     * existing regular file (ConfigError naming the path otherwise,
+     * before any input is opened).
      */
     static std::string
     canonicalMerge(const std::vector<std::string>& paths);

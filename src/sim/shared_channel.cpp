@@ -127,6 +127,8 @@ SharedChannel::retireClass(int cls)
                   "retiring class " << cls << " with "
                                     << it->second.active
                                     << " transfers in flight");
+    if (&it->second == last_class_)
+        last_class_ = nullptr;
     classes_.erase(it);
 }
 
@@ -165,7 +167,12 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     advanceTo(queue_.now());
     const std::uint32_t idx = allocSlot();
     Transfer& t = slots_[idx];
-    ClassState& cs = classes_[priority_class];
+    // Consecutive transfers mostly share a class: skip the hash.
+    if (last_class_ == nullptr || priority_class != last_class_id_) {
+        last_class_ = &classes_[priority_class];
+        last_class_id_ = priority_class;
+    }
+    ClassState& cs = *last_class_;
     t.on_done = std::move(on_done);
     t.on_fail = std::move(on_fail);
     t.weight = weight;
@@ -392,12 +399,11 @@ SharedChannel::dropStaleTop()
 void
 SharedChannel::reschedule()
 {
-    if (pending_event_ != 0) {
-        queue_.cancel(pending_event_);
+    if (!dropStaleTop()) {
+        queue_.cancel(pending_event_); // no-op for id 0
         pending_event_ = 0;
-    }
-    if (!dropStaleTop())
         return;
+    }
     // Next completion: the heap top's virtual remainder at the
     // unit-weight virtual rate (the earliest v_end drains first by
     // construction, independent of weights).
@@ -405,8 +411,16 @@ SharedChannel::reschedule()
     const double rate = virtualRate();
     const TimeNs eta =
         min_remaining <= kDrainEps ? 0.0 : min_remaining / rate;
+    const TimeNs when = queue_.now() + eta;
+    // Every begin/abort moves the ETA, so the pending completion is
+    // retimed in place; retime() orders it exactly as cancel +
+    // schedule would. Only an event no longer stored (collected into
+    // the cohort firing now) is replaced the long way.
+    if (queue_.retime(pending_event_, when))
+        return;
+    queue_.cancel(pending_event_);
     pending_event_ =
-        queue_.scheduleAfter(eta, [this] { onCompletionEvent(); });
+        queue_.schedule(when, [this] { onCompletionEvent(); });
 }
 
 void

@@ -43,10 +43,11 @@ struct SweepOptions
     int threads = 0;
 
     /**
-     * Pending-set front end of every worker-owned EventQueue. Heap is
-     * the measurement baseline; results are bit-identical either way.
+     * Pending-set front end of every worker-owned EventQueue. The
+     * calendar is the measurement baseline; results are bit-identical
+     * either way.
      */
-    EventFrontEnd front_end = EventFrontEnd::Calendar;
+    EventFrontEnd front_end = EventFrontEnd::Heap;
 };
 
 /** Fans independent simulation jobs across workers; see file comment. */

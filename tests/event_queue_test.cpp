@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,9 +18,21 @@
 namespace themis::sim {
 namespace {
 
-TEST(EventQueue, RunsInTimeOrder)
+/** Every generic case runs once per pending-set front end. */
+class EventQueueFrontEnds : public ::testing::TestWithParam<EventFrontEnd>
 {
-    EventQueue q;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BothFrontEnds, EventQueueFrontEnds,
+    ::testing::Values(EventFrontEnd::Heap, EventFrontEnd::Calendar),
+    [](const ::testing::TestParamInfo<EventFrontEnd>& info) {
+        return std::string(eventFrontEndName(info.param));
+    });
+
+TEST_P(EventQueueFrontEnds, RunsInTimeOrder)
+{
+    EventQueue q(GetParam());
     std::vector<int> fired;
     q.schedule(30.0, [&] { fired.push_back(3); });
     q.schedule(10.0, [&] { fired.push_back(1); });
@@ -29,9 +42,9 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_DOUBLE_EQ(q.now(), 30.0);
 }
 
-TEST(EventQueue, SameTimeFifoBySchedulingOrder)
+TEST_P(EventQueueFrontEnds, SameTimeFifoBySchedulingOrder)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     std::vector<int> fired;
     for (int i = 0; i < 10; ++i)
         q.schedule(5.0, [&fired, i] { fired.push_back(i); });
@@ -40,9 +53,9 @@ TEST(EventQueue, SameTimeFifoBySchedulingOrder)
         EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, HandlersCanScheduleMore)
+TEST_P(EventQueueFrontEnds, HandlersCanScheduleMore)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     int count = 0;
     std::function<void()> chain = [&] {
         if (++count < 5)
@@ -54,9 +67,9 @@ TEST(EventQueue, HandlersCanScheduleMore)
     EXPECT_DOUBLE_EQ(q.now(), 40.0);
 }
 
-TEST(EventQueue, CancelPreventsFiring)
+TEST_P(EventQueueFrontEnds, CancelPreventsFiring)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     bool fired = false;
     const auto id = q.schedule(10.0, [&] { fired = true; });
     q.cancel(id);
@@ -65,16 +78,16 @@ TEST(EventQueue, CancelPreventsFiring)
     EXPECT_FALSE(fired);
 }
 
-TEST(EventQueue, CancelUnknownIdIsNoop)
+TEST_P(EventQueueFrontEnds, CancelUnknownIdIsNoop)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     q.cancel(424242);
     SUCCEED();
 }
 
-TEST(EventQueue, CancelOneOfManyAtSameTime)
+TEST_P(EventQueueFrontEnds, CancelOneOfManyAtSameTime)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     std::vector<int> fired;
     q.schedule(5.0, [&] { fired.push_back(1); });
     const auto id = q.schedule(5.0, [&] { fired.push_back(2); });
@@ -84,9 +97,9 @@ TEST(EventQueue, CancelOneOfManyAtSameTime)
     EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST(EventQueue, RunUntilStopsAtBoundary)
+TEST_P(EventQueueFrontEnds, RunUntilStopsAtBoundary)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     std::vector<int> fired;
     q.schedule(10.0, [&] { fired.push_back(1); });
     q.schedule(20.0, [&] { fired.push_back(2); });
@@ -99,16 +112,16 @@ TEST(EventQueue, RunUntilStopsAtBoundary)
     EXPECT_EQ(fired.size(), 3u);
 }
 
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
+TEST_P(EventQueueFrontEnds, RunUntilAdvancesClockWhenIdle)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     q.runUntil(500.0);
     EXPECT_DOUBLE_EQ(q.now(), 500.0);
 }
 
-TEST(EventQueue, ResetClearsEverything)
+TEST_P(EventQueueFrontEnds, ResetClearsEverything)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     bool fired = false;
     q.schedule(10.0, [&] { fired = true; });
     q.runUntil(1.0);
@@ -119,23 +132,23 @@ TEST(EventQueue, ResetClearsEverything)
     EXPECT_FALSE(fired);
 }
 
-TEST(EventQueue, SchedulingInThePastPanics)
+TEST_P(EventQueueFrontEnds, SchedulingInThePastPanics)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     q.schedule(100.0, [] {});
     q.run();
     EXPECT_DEATH(q.schedule(50.0, [] {}), "past");
 }
 
-TEST(EventQueue, NegativeDelayPanics)
+TEST_P(EventQueueFrontEnds, NegativeDelayPanics)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     EXPECT_DEATH(q.scheduleAfter(-1.0, [] {}), "negative");
 }
 
-TEST(EventQueue, ManyEventsStressDeterminism)
+TEST_P(EventQueueFrontEnds, ManyEventsStressDeterminism)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     double sum = 0.0;
     for (int i = 0; i < 10000; ++i) {
         q.schedule(static_cast<double>((i * 37) % 1000),
@@ -145,11 +158,11 @@ TEST(EventQueue, ManyEventsStressDeterminism)
     EXPECT_DOUBLE_EQ(sum, 10000.0 * 9999.0 / 2.0);
 }
 
-TEST(EventQueue, StaleIdCannotCancelSlotSuccessor)
+TEST_P(EventQueueFrontEnds, StaleIdCannotCancelSlotSuccessor)
 {
     // The slab recycles slots through a free list; a stale id from a
     // previous tenant must miss the current one (generation tag).
-    EventQueue q;
+    EventQueue q(GetParam());
     bool first = false, second = false;
     const auto id_first = q.schedule(10.0, [&] { first = true; });
     q.cancel(id_first); // frees the slot
@@ -162,9 +175,9 @@ TEST(EventQueue, StaleIdCannotCancelSlotSuccessor)
     EXPECT_TRUE(second);
 }
 
-TEST(EventQueue, FiredIdCannotCancelSlotSuccessor)
+TEST_P(EventQueueFrontEnds, FiredIdCannotCancelSlotSuccessor)
 {
-    EventQueue q;
+    EventQueue q(GetParam());
     int fired = 0;
     const auto id_first = q.schedule(10.0, [&] { ++fired; });
     q.run(); // slot released by firing, not by cancel
@@ -175,12 +188,12 @@ TEST(EventQueue, FiredIdCannotCancelSlotSuccessor)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, IdReuseAcrossManyGenerations)
+TEST_P(EventQueueFrontEnds, IdReuseAcrossManyGenerations)
 {
     // Drive one slot through many alloc/cancel cycles; every issued id
     // must stay unique and cancellation must only ever hit its own
     // event.
-    EventQueue q;
+    EventQueue q(GetParam());
     std::vector<EventQueue::EventId> issued;
     for (int round = 0; round < 100; ++round) {
         bool fired = false;
@@ -197,11 +210,11 @@ TEST(EventQueue, IdReuseAcrossManyGenerations)
     q.run();
 }
 
-TEST(EventQueue, LargeClosureFallsBackToBox)
+TEST_P(EventQueueFrontEnds, LargeClosureFallsBackToBox)
 {
     // Closures beyond the inline slot capacity take the boxed path;
     // behavior (ordering, cancellation) must be identical.
-    EventQueue q;
+    EventQueue q(GetParam());
     struct Big
     {
         double payload[16];
@@ -223,12 +236,12 @@ TEST(EventQueue, LargeClosureFallsBackToBox)
     EXPECT_FALSE(cancelled_fired);
 }
 
-TEST(EventQueue, HandlerSchedulingManyEventsKeepsClosureValid)
+TEST_P(EventQueueFrontEnds, HandlerSchedulingManyEventsKeepsClosureValid)
 {
     // A handler that grows the slab (forcing slot storage to move)
     // must keep executing its own closure safely: the queue relocates
     // the closure out of the slab before invoking it.
-    EventQueue q;
+    EventQueue q(GetParam());
     std::vector<int> fired;
     q.schedule(1.0, [&] {
         for (int i = 0; i < 1000; ++i)
@@ -242,12 +255,12 @@ TEST(EventQueue, HandlerSchedulingManyEventsKeepsClosureValid)
         EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
 }
 
-TEST(EventQueue, IdenticalRunsFireInIdenticalOrder)
+TEST_P(EventQueueFrontEnds, IdenticalRunsFireInIdenticalOrder)
 {
     // Determinism contract: the same schedule/cancel sequence produces
     // the same firing order, run after run.
-    auto drive = [] {
-        EventQueue q;
+    auto drive = [fe = GetParam()] {
+        EventQueue q(fe);
         std::vector<int> order;
         std::vector<EventQueue::EventId> ids;
         for (int i = 0; i < 500; ++i) {
@@ -408,44 +421,38 @@ TEST(EventQueue, CalendarDensePopulationTriggersResize)
     }
 }
 
-TEST(EventQueue, CohortMemberCanCancelLaterSameTimeEvent)
+TEST_P(EventQueueFrontEnds, CohortMemberCanCancelLaterSameTimeEvent)
 {
     // Same-timestamp events fire as one batched cohort; an earlier
     // member cancelling a later one must still suppress it.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId victim = 0;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.cancel(victim);
-        });
-        victim = q.schedule(5.0, [&] { fired.push_back(2); });
-        q.schedule(5.0, [&] { fired.push_back(3); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 3}))
-            << eventFrontEndName(fe);
-    }
+    EventQueue q(GetParam());
+    std::vector<int> fired;
+    EventQueue::EventId victim = 0;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.cancel(victim);
+    });
+    victim = q.schedule(5.0, [&] { fired.push_back(2); });
+    q.schedule(5.0, [&] { fired.push_back(3); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3}));
 }
 
-TEST(EventQueue, CohortHandlerSchedulesSameTimeEvent)
+TEST_P(EventQueueFrontEnds, CohortHandlerSchedulesSameTimeEvent)
 {
     // An event scheduled *at* the cohort's timestamp from inside it
     // fires after the cohort (FIFO by scheduling order) but before
     // any later-time event.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.scheduleAfter(0.0, [&] { fired.push_back(9); });
-        });
-        q.schedule(5.0, [&] { fired.push_back(2); });
-        q.schedule(6.0, [&] { fired.push_back(3); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 2, 9, 3}))
-            << eventFrontEndName(fe);
-    }
+    EventQueue q(GetParam());
+    std::vector<int> fired;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.scheduleAfter(0.0, [&] { fired.push_back(9); });
+    });
+    q.schedule(5.0, [&] { fired.push_back(2); });
+    q.schedule(6.0, [&] { fired.push_back(3); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 9, 3}));
 }
 
 TEST(EventQueue, CalendarRunUntilBoundaryAndReset)
@@ -469,38 +476,35 @@ TEST(EventQueue, CalendarRunUntilBoundaryAndReset)
     EXPECT_TRUE(fired.size() == 2);
 }
 
-TEST(EventQueue, ThrowingHandlerLeavesQueueResumable)
+TEST_P(EventQueueFrontEnds, ThrowingHandlerLeavesQueueResumable)
 {
     // Sweep jobs propagate ConfigError through run(); the thrown
     // handler is consumed but the rest of its same-timestamp cohort
     // must stay pending so a caller can resume (or reset) the queue.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId victim = 0;
-        q.schedule(5.0, [&] {
-            fired.push_back(1);
-            q.cancel(victim); // cancelled mid-cohort, must stay dead
-            throw std::runtime_error("boom");
-        });
-        q.schedule(5.0, [&] { fired.push_back(2); });
-        victim = q.schedule(5.0, [&] { fired.push_back(4); });
-        q.schedule(7.0, [&] { fired.push_back(3); });
-        EXPECT_THROW(q.run(), std::runtime_error);
-        EXPECT_EQ(q.pendingCount(), 2u) << eventFrontEndName(fe);
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}))
-            << eventFrontEndName(fe);
-        EXPECT_TRUE(q.empty());
-    }
+    EventQueue q(GetParam());
+    std::vector<int> fired;
+    EventQueue::EventId victim = 0;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        q.cancel(victim); // cancelled mid-cohort, must stay dead
+        throw std::runtime_error("boom");
+    });
+    q.schedule(5.0, [&] { fired.push_back(2); });
+    victim = q.schedule(5.0, [&] { fired.push_back(4); });
+    q.schedule(7.0, [&] { fired.push_back(3); });
+    EXPECT_THROW(q.run(), std::runtime_error);
+    EXPECT_EQ(q.pendingCount(), 2u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, CalendarCancelChurnStaysConsistent)
+TEST_P(EventQueueFrontEnds, CancelChurnStaysConsistent)
 {
     // The SharedChannel pattern: every completion cancels and
-    // reschedules a pending event. Eager O(1) removal must keep the
-    // store and counters consistent across thousands of churn cycles.
-    EventQueue q(EventFrontEnd::Calendar);
+    // reschedules a pending event. Eager removal must keep the store
+    // and counters consistent across thousands of churn cycles.
+    EventQueue q(GetParam());
     int fired = 0;
     EventQueue::EventId pending = 0;
     std::function<void()> step = [&] {
@@ -529,29 +533,26 @@ TEST(EventQueue, CalendarCancelChurnStaysConsistent)
 // cancel/re-push churn during a same-timestamp cohort pop must not
 // corrupt the back-pointers or the firing order.
 
-TEST(EventQueue, CohortCancelExactlyOnBucketEdge)
+TEST_P(EventQueueFrontEnds, CohortCancelExactlyOnBucketEdge)
 {
     // The whole cohort sits on a bucket edge; the first member
     // cancels a later same-timestamp (same-edge) event and a
     // next-edge event mid-pop.
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
-        EventQueue q(fe);
-        std::vector<int> fired;
-        EventQueue::EventId same_edge = 0, next_edge = 0;
-        q.schedule(100.0, [&] {
-            fired.push_back(1);
-            q.cancel(same_edge);
-            q.cancel(next_edge);
-        });
-        same_edge = q.schedule(100.0, [&] { fired.push_back(2); });
-        q.schedule(100.0, [&] { fired.push_back(3); });
-        next_edge = q.schedule(200.0, [&] { fired.push_back(4); });
-        q.schedule(200.0, [&] { fired.push_back(5); });
-        q.run();
-        EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}))
-            << eventFrontEndName(fe);
-        EXPECT_TRUE(q.empty());
-    }
+    EventQueue q(GetParam());
+    std::vector<int> fired;
+    EventQueue::EventId same_edge = 0, next_edge = 0;
+    q.schedule(100.0, [&] {
+        fired.push_back(1);
+        q.cancel(same_edge);
+        q.cancel(next_edge);
+    });
+    same_edge = q.schedule(100.0, [&] { fired.push_back(2); });
+    q.schedule(100.0, [&] { fired.push_back(3); });
+    next_edge = q.schedule(200.0, [&] { fired.push_back(4); });
+    q.schedule(200.0, [&] { fired.push_back(5); });
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 3, 5}));
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueue, CohortRePushExactlyOnBucketEdge)
@@ -625,28 +626,162 @@ TEST(EventQueue, CohortCancelRePushChurnAcrossManyEdges)
     EXPECT_FALSE(cal.empty());
 }
 
-TEST(EventQueue, RebaseToZeroRestartsTheClock)
+TEST_P(EventQueueFrontEnds, RebaseToZeroRestartsTheClock)
 {
-    for (const auto fe : {EventFrontEnd::Calendar, EventFrontEnd::Heap}) {
+    EventQueue q(GetParam());
+    std::vector<std::pair<TimeNs, int>> trace;
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 1); });
+    const auto cancelled =
+        q.schedule(900.0, [&] { trace.emplace_back(q.now(), -1); });
+    q.cancel(cancelled);
+    q.run();
+    q.rebaseToZero();
+    EXPECT_DOUBLE_EQ(q.now(), 0.0);
+    // The rebased frame replays identically: same times, FIFO
+    // order preserved, stale pre-rebase entries inert.
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 2); });
+    q.schedule(150.0, [&] { trace.emplace_back(q.now(), 3); });
+    q.run();
+    const std::vector<std::pair<TimeNs, int>> expected{
+        {150.0, 1}, {150.0, 2}, {150.0, 3}};
+    EXPECT_EQ(trace, expected);
+    EXPECT_TRUE(q.empty());
+}
+
+// ---------------------------------------------------------------------
+// retime(): an in-place cancel + schedule.
+
+TEST_P(EventQueueFrontEnds, RetimeOrdersAsRescheduled)
+{
+    // A retimed event takes a fresh sequence number: moved onto a
+    // timestamp that already holds events, it fires after them. It
+    // keeps its id, so a later cancel still reaches it.
+    EventQueue q(GetParam());
+    std::vector<std::pair<TimeNs, int>> trace;
+    auto mark = [&q, &trace](int m) {
+        return [&q, &trace, m] { trace.emplace_back(q.now(), m); };
+    };
+    const auto a = q.schedule(10.0, mark(1));
+    q.schedule(20.0, mark(2));
+    q.schedule(20.0, mark(3));
+    const auto d = q.schedule(30.0, mark(4));
+    const auto e = q.schedule(40.0, mark(5));
+    EXPECT_TRUE(q.retime(a, 20.0)); // later, onto a tie
+    EXPECT_TRUE(q.retime(e, 5.0));  // earlier
+    EXPECT_TRUE(q.retime(d, 50.0));
+    EXPECT_TRUE(q.retime(d, 35.0)); // twice
+    EXPECT_EQ(q.pendingCount(), 5u);
+    q.schedule(35.0, mark(6));
+    q.cancel(a);
+    q.run();
+    const std::vector<std::pair<TimeNs, int>> expected{
+        {5.0, 5}, {20.0, 2}, {20.0, 3}, {35.0, 4}, {35.0, 6}};
+    EXPECT_EQ(trace, expected);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST_P(EventQueueFrontEnds, RetimeTraceMatchesCancelAndSchedule)
+{
+    // Eight timers whose deadlines handlers keep moving (the shared
+    // channel's completion event, times eight), plus one-shot events,
+    // on a coarse time grid so same-timestamp ties are the norm. One
+    // run moves a deadline with cancel + schedule, the other with
+    // retime (falling back to cancel + schedule when the event is
+    // already in the firing cohort); the (time, marker) traces must
+    // match exactly.
+    auto drive = [fe = GetParam()](bool use_retime) {
         EventQueue q(fe);
         std::vector<std::pair<TimeNs, int>> trace;
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 1); });
-        const auto cancelled =
-            q.schedule(900.0, [&] { trace.emplace_back(q.now(), -1); });
-        q.cancel(cancelled);
+        std::vector<EventQueue::EventId> timer(8, 0);
+        std::uint64_t state = 2024;
+        auto next = [&state] {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            return state >> 33;
+        };
+        std::size_t retimed = 0;
+        std::function<void(int)> fire;
+        auto move = [&](int k, TimeNs when) {
+            auto& id = timer[static_cast<std::size_t>(k)];
+            if (use_retime && id != 0 && q.retime(id, when)) {
+                ++retimed;
+                return;
+            }
+            q.cancel(id);
+            id = q.schedule(when, [&fire, k] { fire(k); });
+        };
+        int budget = 4000;
+        fire = [&](int k) {
+            trace.emplace_back(q.now(), k);
+            timer[static_cast<std::size_t>(k)] = 0;
+            if (--budget <= 0)
+                return;
+            move(k, q.now() + 10.0 * static_cast<double>(1 + next() % 4));
+            const int moves = static_cast<int>(next() % 4);
+            for (int m = 0; m < moves; ++m)
+                move(static_cast<int>(next() % 8),
+                     q.now() + 10.0 * static_cast<double>(next() % 4));
+            if (next() % 3 == 0) {
+                const int marker = 100 + static_cast<int>(next() % 100);
+                q.scheduleAfter(10.0 * static_cast<double>(next() % 3),
+                                [&q, &trace, marker] {
+                                    trace.emplace_back(q.now(), marker);
+                                });
+            }
+        };
+        for (int k = 0; k < 8; ++k)
+            move(k, 10.0 * static_cast<double>(k % 3));
         q.run();
-        q.rebaseToZero();
-        EXPECT_DOUBLE_EQ(q.now(), 0.0);
-        // The rebased frame replays identically: same times, FIFO
-        // order preserved, stale pre-rebase entries inert.
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 2); });
-        q.schedule(150.0, [&] { trace.emplace_back(q.now(), 3); });
-        q.run();
-        const std::vector<std::pair<TimeNs, int>> expected{
-            {150.0, 1}, {150.0, 2}, {150.0, 3}};
-        EXPECT_EQ(trace, expected) << eventFrontEndName(fe);
         EXPECT_TRUE(q.empty());
-    }
+        EXPECT_EQ(retimed > 0, use_retime);
+        return trace;
+    };
+    const auto rescheduled = drive(false);
+    const auto retimed = drive(true);
+    EXPECT_EQ(retimed, rescheduled);
+    EXPECT_GT(rescheduled.size(), 1000u);
+}
+
+TEST_P(EventQueueFrontEnds, RetimeOfCohortMemberReturnsFalse)
+{
+    // A same-timestamp event already collected into the firing cohort
+    // is no longer stored: retime() refuses it and it fires as
+    // scheduled.
+    EventQueue q(GetParam());
+    std::vector<int> fired;
+    EventQueue::EventId member = 0;
+    bool refused = false;
+    q.schedule(5.0, [&] {
+        fired.push_back(1);
+        refused = !q.retime(member, 9.0);
+    });
+    member = q.schedule(5.0, [&] { fired.push_back(2); });
+    q.schedule(7.0, [&] { fired.push_back(3); });
+    q.run();
+    EXPECT_TRUE(refused);
+    EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+    EXPECT_DOUBLE_EQ(q.now(), 7.0);
+}
+
+TEST_P(EventQueueFrontEnds, RetimeOfDeadIdReturnsFalse)
+{
+    EventQueue q(GetParam());
+    int fired = 0;
+    const auto done = q.schedule(1.0, [&] { ++fired; });
+    q.run();
+    EXPECT_FALSE(q.retime(done, 5.0)); // fired
+    const auto cancelled = q.schedule(2.0, [&] { ++fired; });
+    q.cancel(cancelled);
+    EXPECT_FALSE(q.retime(cancelled, 5.0)); // cancelled
+    // The successor in the cancelled event's slot must not move.
+    const auto successor = q.schedule(3.0, [&] { ++fired; });
+    EXPECT_NE(successor, cancelled);
+    EXPECT_FALSE(q.retime(cancelled, 9.0)); // stale
+    EXPECT_FALSE(q.retime(0, 5.0));
+    EXPECT_FALSE(q.retime(424242ull << 32, 5.0));
+    EXPECT_EQ(q.pendingCount(), 1u);
+    q.run();
+    EXPECT_EQ(fired, 2);
+    EXPECT_DOUBLE_EQ(q.now(), 3.0);
 }
 
 } // namespace

@@ -201,17 +201,17 @@ TEST(Integration, IdealNeverLosesToSimulationByMuch)
 
 TEST(Integration, PreOptimizationPathReproducesTrainingIterations)
 {
-    // The configuration the sweep optimizations replaced -- no plan
-    // cache, heap event queue -- must simulate training iterations
-    // bit-identically to the default path with a shared plan cache.
+    // No plan cache and the calendar event queue must simulate
+    // training iterations bit-identically to the default path: a
+    // shared plan cache and the heap event queue.
     const auto topo = presets::byName("3D-SW_SW_SW_hetero");
     PlanCache cache;
     for (const char* name : {"ResNet-152", "GNMT", "DLRM"}) {
         auto run = [&](bool optimized) {
             runtime::RuntimeConfig cfg = runtime::themisScfConfig();
             cfg.plan_cache = optimized ? &cache : nullptr;
-            sim::EventQueue queue(optimized ? sim::EventFrontEnd::Calendar
-                                            : sim::EventFrontEnd::Heap);
+            sim::EventQueue queue(optimized ? sim::EventFrontEnd::Heap
+                                            : sim::EventFrontEnd::Calendar);
             runtime::CommRuntime comm(queue, topo, cfg);
             workload::TrainingLoop loop(comm, models::byName(name));
             return loop.runIteration();

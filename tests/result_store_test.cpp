@@ -317,6 +317,35 @@ TEST(ShardMerge, RejectsConflictingDuplicates)
     std::filesystem::remove(b_path);
 }
 
+TEST(ShardMerge, RejectsMissingOrNonRegularInputs)
+{
+    // A mistyped shard path is an error naming it, not an empty
+    // store: nothing is merged and no directory is created.
+    const std::string good = tempStore("merge_good");
+    {
+        ResultStore store(good);
+        store.append(syntheticCell(0));
+    }
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "themis_result_store_test_nodir";
+    std::filesystem::remove_all(dir);
+    const std::string missing = (dir / "x.jsonl").string();
+    for (const std::string& bad :
+         {missing, std::filesystem::temp_directory_path().string(),
+          std::string("/dev/null")}) {
+        try {
+            (void)ResultStore::canonicalMerge({good, bad});
+            ADD_FAILURE() << "merging '" << bad << "' did not throw";
+        } catch (const ConfigError& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    std::filesystem::remove(good);
+}
+
 TEST(CheckpointResume, InterruptedRunResumesBitIdentical)
 {
     const std::size_t cells = 8;

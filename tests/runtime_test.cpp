@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <set>
+#include <tuple>
+
 #include "core/ideal_estimator.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "topology/presets.hpp"
@@ -368,6 +373,49 @@ TEST(Runtime, AllToAllCompletesOnEveryPreset)
         queue.run();
         EXPECT_TRUE(comm.record(id).done()) << topo.name();
         EXPECT_GT(comm.record(id).duration(), 0.0) << topo.name();
+    }
+}
+
+TEST(Runtime, WarmCollectiveLooksUpEachStepKeyOnce)
+{
+    // Every op of a stage shares its (phase, entering, dimension)
+    // step key: a warm collective asks the plan cache once per
+    // distinct key, not once per op.
+    const auto topo = presets::make3DSwSwSwHetero();
+    const LatencyModel model = LatencyModel::fromTopology(topo);
+    PlanCache cache;
+    RuntimeConfig cfg = themisScfConfig();
+    cfg.plan_cache = &cache;
+    sim::EventQueue queue;
+    CommRuntime comm(queue, topo, cfg);
+    std::set<std::tuple<int, std::uint64_t, std::uint64_t>> keys;
+    std::size_t ops = 0;
+    for (int d = 0; d < topo.numDims(); ++d) {
+        comm.engine(d).setFinishListener(
+            [&](const ChunkOp& op, TimeNs) {
+                ++ops;
+                std::uint64_t bits = 0;
+                std::memcpy(&bits, &op.entering, sizeof bits);
+                keys.emplace(static_cast<int>(op.phase), bits,
+                             model.dimFingerprint(op.local_dim));
+            });
+    }
+    CollectiveRequest req;
+    req.type = CollectiveType::AllReduce;
+    req.size = 1.0e8;
+    req.chunks = 64;
+    comm.issue(req); // cold: fills the plan cache
+    queue.run();
+    for (int rep = 0; rep < 2; ++rep) {
+        keys.clear();
+        ops = 0;
+        const PlanCache::Stats before = cache.stats();
+        comm.issue(req);
+        queue.run();
+        const PlanCache::Stats after = cache.stats();
+        EXPECT_EQ(after.step_misses, before.step_misses);
+        EXPECT_GT(ops, 2 * keys.size());
+        EXPECT_EQ(after.step_hits - before.step_hits, keys.size());
     }
 }
 

@@ -500,6 +500,30 @@ TEST(SharedChannel, EpochResetAfterCapacityStepsAndRetiredClasses)
     EXPECT_EQ(ch.numClasses(), 5);
 }
 
+TEST(SharedChannel, RetiredClassRestartsFreshAccounts)
+{
+    // begin() remembers the last class it touched; retiring that
+    // class frees its accounts, so the next begin() in the same class
+    // index must open new ones (a stale pointer is a use-after-free
+    // under ASan, or bytes landing in freed accounts without it).
+    EventQueue q;
+    SharedChannel ch(q, 100.0);
+    ch.begin(1.0e6, 1.0, [] {}, 3);
+    q.run();
+    EXPECT_DOUBLE_EQ(ch.classProgressedBytes(3), 1.0e6);
+    ch.retireClass(3);
+    EXPECT_EQ(ch.trackedClassCount(), 0u);
+    TimeNs done_at = -1.0;
+    ch.begin(5.0e5, 1.0, [&] { done_at = q.now(); }, 3);
+    EXPECT_EQ(ch.trackedClassCount(), 1u);
+    q.run();
+    ch.sync();
+    EXPECT_DOUBLE_EQ(done_at, 1.0e4 + 5.0e3);
+    EXPECT_DOUBLE_EQ(ch.classProgressedBytes(3), 5.0e5);
+    EXPECT_DOUBLE_EQ(ch.classBusyTime(3), 5.0e3);
+    EXPECT_EQ(ch.classIds(), (std::vector<int>{3}));
+}
+
 TEST(SharedChannel, FailActiveReportsRemaindersInBeginOrder)
 {
     EventQueue q;
