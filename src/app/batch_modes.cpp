@@ -263,8 +263,11 @@ runGrid(Session& s)
         shard = sim::parseShardSpec(o.shard);
     const std::vector<std::size_t> owned = sim::shardCells(cells, shard);
     std::unique_ptr<sim::ResultStore> store;
-    if (!o.results.empty())
+    if (!o.results.empty()) {
         store = std::make_unique<sim::ResultStore>(o.results);
+        // Even a shard that owns no cells leaves a journal to merge.
+        store->openJournal();
+    }
     std::vector<std::size_t> pending; // owned cells not in the store
     for (std::size_t cell : owned)
         if (store == nullptr || !store->has(keyOf(cell)))

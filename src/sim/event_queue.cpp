@@ -32,11 +32,6 @@ constexpr std::size_t kWidthSample = 64;
  *  makes every pop wrap the whole year. */
 constexpr std::size_t kSparseScan = 4;
 
-/** Heap fan-out. Four children share two cache lines of entries and
- *  halve the depth: at 17 to 68 pending events a 4-ary heap fired
- *  events 5-20% faster than a binary one, and tied at 1 to 3. */
-constexpr std::size_t kArity = 4;
-
 /** Index of the lowest set bit of @p bits (nonzero). */
 std::size_t
 lowestBit(std::uint64_t bits)
@@ -157,6 +152,11 @@ EventQueue::retime(EventId id, TimeNs when)
     THEMIS_ASSERT(when >= now_ - 1e-9,
                   "retiming into the past: when=" << when
                                                   << " now=" << now_);
+    // Only the heap moves events in place. The calendar is kept for
+    // measurement alone; a false return sends its callers down
+    // cancel + schedule, which orders identically.
+    if (front_end_ != EventFrontEnd::Heap)
+        return false;
     const std::uint64_t high = id >> 32;
     if (high == 0 || high > slots_.size())
         return false;
@@ -167,15 +167,9 @@ EventQueue::retime(EventId id, TimeNs when)
         slot.bucket == kNoSlot)
         return false;
     // The key schedule() would give the re-scheduled event.
-    const Entry moved{when < now_ ? now_ : when, next_seq_++, idx,
-                      slot.generation};
-    if (front_end_ == EventFrontEnd::Heap) {
-        heap_[slot.pos] = moved;
-        heapFix(slot.pos);
-        return true;
-    }
-    calRemoveAt(slot.bucket, slot.pos);
-    calPush(moved);
+    heap_[slot.pos] = Entry{when < now_ ? now_ : when, next_seq_++, idx,
+                            slot.generation};
+    heapFix(slot.pos);
     return true;
 }
 
@@ -213,7 +207,7 @@ void
 EventQueue::heapSiftUp(std::size_t pos, Entry e)
 {
     while (pos > 0) {
-        const std::size_t parent = (pos - 1) / kArity;
+        const std::size_t parent = (pos - 1) / 2;
         if (!earlier(e, heap_[parent]))
             break;
         heapPlace(pos, heap_[parent]);
@@ -227,14 +221,11 @@ EventQueue::heapSiftDown(std::size_t pos, Entry e)
 {
     const std::size_t n = heap_.size();
     while (true) {
-        const std::size_t first = kArity * pos + 1;
-        if (first >= n)
+        std::size_t best = 2 * pos + 1;
+        if (best >= n)
             break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + kArity, n);
-        for (std::size_t c = first + 1; c < last; ++c)
-            if (earlier(heap_[c], heap_[best]))
-                best = c;
+        if (best + 1 < n && earlier(heap_[best + 1], heap_[best]))
+            ++best;
         if (!earlier(heap_[best], e))
             break;
         heapPlace(pos, heap_[best]);
@@ -246,7 +237,7 @@ EventQueue::heapSiftDown(std::size_t pos, Entry e)
 void
 EventQueue::heapFix(std::size_t pos)
 {
-    if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / kArity]))
+    if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 2]))
         heapSiftUp(pos, heap_[pos]);
     else
         heapSiftDown(pos, heap_[pos]);

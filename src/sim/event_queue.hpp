@@ -18,7 +18,7 @@
  *
  * Two pending-set front ends sit on top of the slab:
  *
- *  - Heap (default): an indexed 4-ary heap in one flat vector. Each
+ *  - Heap (default): an indexed binary heap in one flat vector. Each
  *    slot records its entry's heap position, so cancel() removes the
  *    entry eagerly in O(log n) — no tombstone ever sits in the heap —
  *    and retime() moves a stored event in place. With a handful of
@@ -44,7 +44,9 @@
  * retime() is the cheap form of cancel() + schedule() for a handler
  * whose deadline moved (a shared channel's next completion): the
  * event keeps its slot, closure and id, and takes a fresh sequence
- * number, so it orders exactly as the re-scheduled event would.
+ * number, so it orders exactly as the re-scheduled event would. Only
+ * the heap implements it; on the calendar it always declines, and
+ * callers fall back to cancel() + schedule().
  */
 
 #ifndef THEMIS_SIM_EVENT_QUEUE_HPP
@@ -66,7 +68,7 @@ namespace themis::sim {
 /** Pending-event store implementation; see file comment. */
 enum class EventFrontEnd {
     Calendar, ///< bucketed calendar queue (measurement baseline)
-    Heap,     ///< indexed 4-ary heap, eager cancel (default)
+    Heap,     ///< indexed binary heap, eager cancel (default)
 };
 
 /** Front-end name for reports ("calendar"/"heap"). */
@@ -152,9 +154,10 @@ class EventQueue
      * in place, keeping its id and closure. It takes a fresh sequence
      * number, so it fires exactly where cancel(id) followed by
      * schedule(when, same handler) would.
-     * @return false, changing nothing, when the event is not stored:
-     *         fired, cancelled, stale, or already collected into the
-     *         same-timestamp cohort now firing.
+     * @return false, changing nothing, when the event is not stored
+     *         (fired, cancelled, stale, or already collected into the
+     *         same-timestamp cohort now firing) and always on the
+     *         calendar front end.
      */
     bool retime(EventId id, TimeNs when);
 

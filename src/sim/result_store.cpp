@@ -298,27 +298,33 @@ ResultStore::find(const std::string& key) const
 }
 
 void
+ResultStore::openJournal()
+{
+    if (out_open_)
+        return;
+    // Drop any truncated tail so the journal is exactly the valid
+    // prefix plus what this run appends.
+    if (recovered_truncated_) {
+        std::error_code ec;
+        std::filesystem::resize_file(path_, valid_bytes_, ec);
+        if (ec)
+            THEMIS_FATAL("cannot truncate partial record in '"
+                         << path_ << "': " << ec.message());
+    }
+    out_.open(path_, std::ios::binary | std::ios::app);
+    if (!out_.is_open())
+        THEMIS_FATAL("cannot open results journal '" << path_ << "'");
+    out_open_ = true;
+}
+
+void
 ResultStore::append(ResultRecord rec)
 {
     THEMIS_ASSERT(!has(rec.key), "appending duplicate result key '"
                                      << rec.key
                                      << "'; resume must skip "
                                         "recorded cells");
-    if (!out_open_) {
-        // First append: drop any truncated tail so the journal is
-        // exactly the valid prefix plus what this run appends.
-        if (recovered_truncated_) {
-            std::error_code ec;
-            std::filesystem::resize_file(path_, valid_bytes_, ec);
-            if (ec)
-                THEMIS_FATAL("cannot truncate partial record in '"
-                             << path_ << "': " << ec.message());
-        }
-        out_.open(path_, std::ios::binary | std::ios::app);
-        if (!out_.is_open())
-            THEMIS_FATAL("cannot open results journal '" << path_ << "'");
-        out_open_ = true;
-    }
+    openJournal();
     const std::string line = serializeRecord(rec, true);
     out_ << line << '\n';
     out_.flush();

@@ -122,6 +122,15 @@ class ResultStore
     const ResultRecord* find(const std::string& key) const;
 
     /**
+     * Open the journal for appending, creating it empty if it does
+     * not exist (append() does this on its first call). A grid shard
+     * that owns no cells still leaves a journal for --merge this way.
+     * Throws ConfigError when the file cannot be opened or its
+     * truncated tail cannot be dropped.
+     */
+    void openJournal();
+
+    /**
      * Append one record and flush it to disk. Duplicate keys are a
      * caller bug (resume must skip recorded cells) and panic; a
      * failed open, truncation or write throws ConfigError.

@@ -127,8 +127,6 @@ SharedChannel::retireClass(int cls)
                   "retiring class " << cls << " with "
                                     << it->second.active
                                     << " transfers in flight");
-    if (&it->second == last_class_)
-        last_class_ = nullptr;
     classes_.erase(it);
 }
 
@@ -167,12 +165,7 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     advanceTo(queue_.now());
     const std::uint32_t idx = allocSlot();
     Transfer& t = slots_[idx];
-    // Consecutive transfers mostly share a class: skip the hash.
-    if (last_class_ == nullptr || priority_class != last_class_id_) {
-        last_class_ = &classes_[priority_class];
-        last_class_id_ = priority_class;
-    }
-    ClassState& cs = *last_class_;
+    ClassState& cs = classes_[priority_class];
     t.on_done = std::move(on_done);
     t.on_fail = std::move(on_fail);
     t.weight = weight;
@@ -414,8 +407,9 @@ SharedChannel::reschedule()
     const TimeNs when = queue_.now() + eta;
     // Every begin/abort moves the ETA, so the pending completion is
     // retimed in place; retime() orders it exactly as cancel +
-    // schedule would. Only an event no longer stored (collected into
-    // the cohort firing now) is replaced the long way.
+    // schedule would. An event no longer stored (collected into the
+    // cohort firing now), or a calendar queue, which never retimes,
+    // takes the long way.
     if (queue_.retime(pending_event_, when))
         return;
     queue_.cancel(pending_event_);

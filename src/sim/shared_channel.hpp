@@ -280,8 +280,8 @@ class SharedChannel
     /**
      * Point the one pending completion event at the heap top's drain
      * time: retime it in place (EventQueue::retime), cancel it when
-     * nothing is in flight, and schedule a fresh one only when none
-     * is stored.
+     * nothing is in flight, and schedule a fresh one only when
+     * retime() declines.
      */
     void reschedule();
     void onCompletionEvent();
@@ -336,9 +336,6 @@ class SharedChannel
      * departed tenants, keeping this O(active jobs).
      */
     std::unordered_map<int, ClassState> classes_;
-    /** The class of the latest begin(); retireClass() clears it. */
-    ClassState* last_class_ = nullptr;
-    int last_class_id_ = 0;
     /**
      * Classes with >= 1 active transfer right now — the only ones
      * advanceTo() must touch. Each class's accumulators are advanced

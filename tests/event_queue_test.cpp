@@ -649,14 +649,14 @@ TEST_P(EventQueueFrontEnds, RebaseToZeroRestartsTheClock)
 }
 
 // ---------------------------------------------------------------------
-// retime(): an in-place cancel + schedule.
+// retime(): an in-place cancel + schedule, on the heap front end.
 
-TEST_P(EventQueueFrontEnds, RetimeOrdersAsRescheduled)
+TEST(EventQueue, RetimeOrdersAsRescheduled)
 {
     // A retimed event takes a fresh sequence number: moved onto a
     // timestamp that already holds events, it fires after them. It
     // keeps its id, so a later cancel still reaches it.
-    EventQueue q(GetParam());
+    EventQueue q(EventFrontEnd::Heap);
     std::vector<std::pair<TimeNs, int>> trace;
     auto mark = [&q, &trace](int m) {
         return [&q, &trace, m] { trace.emplace_back(q.now(), m); };
@@ -680,7 +680,7 @@ TEST_P(EventQueueFrontEnds, RetimeOrdersAsRescheduled)
     EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueFrontEnds, RetimeTraceMatchesCancelAndSchedule)
+TEST(EventQueue, RetimeTraceMatchesCancelAndSchedule)
 {
     // Eight timers whose deadlines handlers keep moving (the shared
     // channel's completion event, times eight), plus one-shot events,
@@ -689,8 +689,8 @@ TEST_P(EventQueueFrontEnds, RetimeTraceMatchesCancelAndSchedule)
     // retime (falling back to cancel + schedule when the event is
     // already in the firing cohort); the (time, marker) traces must
     // match exactly.
-    auto drive = [fe = GetParam()](bool use_retime) {
-        EventQueue q(fe);
+    auto drive = [](bool use_retime) {
+        EventQueue q(EventFrontEnd::Heap);
         std::vector<std::pair<TimeNs, int>> trace;
         std::vector<EventQueue::EventId> timer(8, 0);
         std::uint64_t state = 2024;
@@ -741,12 +741,12 @@ TEST_P(EventQueueFrontEnds, RetimeTraceMatchesCancelAndSchedule)
     EXPECT_GT(rescheduled.size(), 1000u);
 }
 
-TEST_P(EventQueueFrontEnds, RetimeOfCohortMemberReturnsFalse)
+TEST(EventQueue, RetimeOfCohortMemberReturnsFalse)
 {
     // A same-timestamp event already collected into the firing cohort
     // is no longer stored: retime() refuses it and it fires as
     // scheduled.
-    EventQueue q(GetParam());
+    EventQueue q(EventFrontEnd::Heap);
     std::vector<int> fired;
     EventQueue::EventId member = 0;
     bool refused = false;
@@ -762,9 +762,9 @@ TEST_P(EventQueueFrontEnds, RetimeOfCohortMemberReturnsFalse)
     EXPECT_DOUBLE_EQ(q.now(), 7.0);
 }
 
-TEST_P(EventQueueFrontEnds, RetimeOfDeadIdReturnsFalse)
+TEST(EventQueue, RetimeOfDeadIdReturnsFalse)
 {
-    EventQueue q(GetParam());
+    EventQueue q(EventFrontEnd::Heap);
     int fired = 0;
     const auto done = q.schedule(1.0, [&] { ++fired; });
     q.run();
@@ -782,6 +782,21 @@ TEST_P(EventQueueFrontEnds, RetimeOfDeadIdReturnsFalse)
     q.run();
     EXPECT_EQ(fired, 2);
     EXPECT_DOUBLE_EQ(q.now(), 3.0);
+}
+
+TEST(EventQueue, CalendarRetimeDeclines)
+{
+    // The calendar never moves an event in place; the event stays
+    // where it was scheduled, for the caller to cancel + reschedule.
+    EventQueue q(EventFrontEnd::Calendar);
+    std::vector<int> fired;
+    const auto a = q.schedule(10.0, [&] { fired.push_back(1); });
+    q.schedule(20.0, [&] { fired.push_back(2); });
+    EXPECT_FALSE(q.retime(a, 30.0));
+    EXPECT_EQ(q.pendingCount(), 2u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+    EXPECT_DOUBLE_EQ(q.now(), 20.0);
 }
 
 } // namespace

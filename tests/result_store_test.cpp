@@ -300,6 +300,36 @@ TEST(ShardMerge, TwoShardsMergeByteIdenticalToOneProcess)
     std::filesystem::remove(s1_path);
 }
 
+TEST(ShardMerge, ShardWithoutCellsLeavesAnEmptyJournal)
+{
+    // More shards than cells: shard 2/3 of a two-cell grid owns
+    // nothing, appends nothing, and must still leave a journal that
+    // merges as empty.
+    const std::size_t cells = 2;
+    const std::string one_path = tempStore("empty_one");
+    std::vector<std::string> shard_paths;
+    {
+        ResultStore one(one_path);
+        for (std::size_t i = 0; i < cells; ++i)
+            one.append(syntheticCell(i));
+        for (int k = 0; k < 3; ++k) {
+            shard_paths.push_back(
+                tempStore("empty_s" + std::to_string(k)));
+            ResultStore shard(shard_paths.back());
+            shard.openJournal();
+            for (std::size_t i : sim::shardCells(cells, ShardSpec{k, 3}))
+                shard.append(syntheticCell(i));
+        }
+    }
+    ASSERT_TRUE(std::filesystem::is_regular_file(shard_paths[2]));
+    EXPECT_EQ(std::filesystem::file_size(shard_paths[2]), 0u);
+    EXPECT_EQ(ResultStore::canonicalMerge(shard_paths),
+              ResultStore(one_path).canonicalBytes());
+    std::filesystem::remove(one_path);
+    for (const auto& path : shard_paths)
+        std::filesystem::remove(path);
+}
+
 TEST(ShardMerge, RejectsConflictingDuplicates)
 {
     const std::string a_path = tempStore("conflict_a");

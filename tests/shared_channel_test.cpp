@@ -502,10 +502,8 @@ TEST(SharedChannel, EpochResetAfterCapacityStepsAndRetiredClasses)
 
 TEST(SharedChannel, RetiredClassRestartsFreshAccounts)
 {
-    // begin() remembers the last class it touched; retiring that
-    // class frees its accounts, so the next begin() in the same class
-    // index must open new ones (a stale pointer is a use-after-free
-    // under ASan, or bytes landing in freed accounts without it).
+    // Retiring a class frees its accounts, so the next begin() in
+    // the same class index must open new ones that start from zero.
     EventQueue q;
     SharedChannel ch(q, 100.0);
     ch.begin(1.0e6, 1.0, [] {}, 3);
