@@ -293,13 +293,12 @@ runSingle(Session& s)
     if (o.validate) {
         // Re-simulate with every NPU modelled individually; on a
         // symmetric platform the two backends must agree.
-        auto sched = makeScheduler(cfg.scheduler, model, cfg.themis);
+        auto sched = makeScheduler(cfg.scheduler, model);
         const auto schedules = sched->scheduleCollective(
             req.type, schedulableSize(req.type, req.size, model.dimSizes()),
             req.chunks);
         npu::NpuSimConfig npu_cfg;
         npu_cfg.policy = cfg.intra_policy;
-        npu_cfg.admission = cfg.admission;
         const auto per_npu =
             npu::simulatePerNpu(topo, req.type, schedules, npu_cfg);
         std::printf("  per-NPU     : %s on %ld NPUs (%s; error %.4f%%)\n",

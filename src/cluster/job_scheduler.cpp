@@ -14,28 +14,18 @@ namespace themis::cluster {
 
 namespace {
 
+/**
+ * std::lcm of two positive cadences, saturating at int64 max instead
+ * of overflowing (good enough for diagnostics).
+ */
 std::int64_t
-gcd64(std::int64_t a, std::int64_t b)
+lcmSaturating(std::int64_t a, std::int64_t b)
 {
-    while (b != 0) {
-        const std::int64_t t = a % b;
-        a = b;
-        b = t;
-    }
-    return a;
-}
-
-/** lcm with saturation at int64 max (good enough for diagnostics). */
-std::int64_t
-lcm64Saturating(std::int64_t a, std::int64_t b)
-{
-    const std::int64_t g = gcd64(a, b);
-    const std::int64_t f = b / g;
     constexpr std::int64_t kMax =
         std::numeric_limits<std::int64_t>::max();
-    if (f != 0 && a > kMax / f)
+    if (a > kMax / (b / std::gcd(a, b)))
         return kMax;
-    return a * f;
+    return std::lcm(a, b);
 }
 
 } // namespace
@@ -175,12 +165,12 @@ JobScheduler::lockstepPlan(std::int64_t cycle_limit) const
     if (!periods.empty()) {
         std::int64_t g = periods.front();
         for (std::int64_t p : periods)
-            g = gcd64(g, p);
+            g = std::gcd(g, p);
         std::vector<std::int64_t> cadences(periods.size());
         std::int64_t hyper = 1;
         for (std::size_t j = 0; j < periods.size(); ++j) {
             cadences[j] = periods[j] / g;
-            hyper = lcm64Saturating(hyper, cadences[j]);
+            hyper = lcmSaturating(hyper, cadences[j]);
         }
         if (hyper > cycle_limit) {
             // Diagnose the dominant contributors: the pair of
@@ -191,7 +181,7 @@ JobScheduler::lockstepPlan(std::int64_t cycle_limit) const
             for (std::size_t a = 0; a < periods.size(); ++a) {
                 for (std::size_t b = a + 1; b < periods.size(); ++b) {
                     const std::int64_t l =
-                        lcm64Saturating(cadences[a], cadences[b]);
+                        lcmSaturating(cadences[a], cadences[b]);
                     if (l > worst) {
                         worst = l;
                         wa = a;

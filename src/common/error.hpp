@@ -3,7 +3,8 @@
  * Error-reporting primitives, following the gem5 fatal()/panic() split:
  *
  *  - THEMIS_FATAL: the *user's* fault (bad configuration, invalid
- *    arguments). Throws themis::ConfigError so callers/tests can catch.
+ *    arguments). Throws themis::ConfigError so callers/tests can catch;
+ *    the message carries no file:line, since users read it.
  *  - THEMIS_PANIC: an internal invariant violation (a Themis bug).
  *    Prints and aborts.
  *  - THEMIS_ASSERT: cheap invariant check that panics on failure with
@@ -41,24 +42,19 @@ panicImpl(const char* file, int line, const std::string& msg)
     std::abort();
 }
 
-[[noreturn]] inline void
-fatalImpl(const char* file, int line, const std::string& msg)
-{
-    std::ostringstream oss;
-    oss << file << ":" << line << ": " << msg;
-    throw ConfigError(oss.str());
-}
-
 } // namespace detail
 } // namespace themis
 
-/** Report a user/configuration error; throws themis::ConfigError. */
+/**
+ * Report a user/configuration error; throws themis::ConfigError whose
+ * what() is the message alone. The user reads it (the CLI prints it
+ * after "error: "), so it names no source location.
+ */
 #define THEMIS_FATAL(msg)                                                  \
     do {                                                                   \
         std::ostringstream themis_oss_;                                    \
         themis_oss_ << msg; /* NOLINT */                                   \
-        ::themis::detail::fatalImpl(__FILE__, __LINE__,                    \
-                                    themis_oss_.str());                    \
+        throw ::themis::ConfigError(themis_oss_.str());                    \
     } while (0)
 
 /** Report an internal bug; prints and aborts. */

@@ -66,9 +66,7 @@ StepKey::operator==(const StepKey& o) const
 bool
 OrderKey::operator==(const OrderKey& o) const
 {
-    return plan == o.plan && intra_policy == o.intra_policy &&
-           max_parallel_ops == o.max_parallel_ops &&
-           bitEquals(latency_headroom, o.latency_headroom);
+    return plan == o.plan && intra_policy == o.intra_policy;
 }
 
 std::uint64_t
@@ -115,8 +113,6 @@ PlanCache::OrderKeyHash::operator()(const OrderKey& k) const
     Fnv1a h;
     h.mix(PlanKeyHash{}(k.plan));
     h.mix(static_cast<std::uint64_t>(k.intra_policy));
-    h.mix(static_cast<std::uint64_t>(k.max_parallel_ops));
-    h.mix(k.latency_headroom);
     return static_cast<std::size_t>(h.value());
 }
 

@@ -17,9 +17,10 @@
  *
  * Enforced per-dimension start orders (Sec 4.6.2) are memoized too:
  * they are a pure function of the plan plus the intra-dimension
- * policy and admission configuration. The runtime stores either the
- * orders it observed on a lone run or those of a shadow simulation
- * (a full simulation of the collective), and a hit spares it both.
+ * policy (every runtime engine admits by the default
+ * AdmissionConfig). The runtime stores either the orders it observed
+ * on a lone run or those of a shadow simulation (a full simulation of
+ * the collective), and a hit spares it both.
  *
  * Chunk-op *step plans* are memoized as well: the lumped
  * (fixed delay, wire bytes) aggregate of one phase of one chunk on
@@ -116,10 +117,6 @@ struct OrderKey
 {
     PlanKey plan;
     IntraDimPolicy intra_policy = IntraDimPolicy::Fifo;
-
-    /** AdmissionConfig fields (engine timing affects shadow orders). */
-    int max_parallel_ops = 0;
-    double latency_headroom = 0.0;
 
     bool operator==(const OrderKey& o) const;
 };

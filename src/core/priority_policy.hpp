@@ -73,9 +73,9 @@ struct FlowClass
 
 /**
  * Channel accounting class of a flow: jobs stride the tier space so
- * one shared channel tracks progressed bytes and busy time per
- * (job, tier) pair with the existing per-class machinery. Job 0 maps
- * tiers onto themselves, so single-workload runs are untouched.
+ * one shared channel tracks progressed bytes per (job, tier) pair
+ * with the existing per-class machinery. Job 0 maps tiers onto
+ * themselves, so single-workload runs are untouched.
  */
 inline int
 accountingClass(const FlowClass& flow)

@@ -206,13 +206,15 @@ class Simulation
         tryStart(npu, st.dim);
     }
 
+    /** The runtime engines' admission rule, at its defaults. */
     bool
     admissionAllows(const Engine& engine) const
     {
+        constexpr runtime::AdmissionConfig admission{};
         if (engine.active.empty())
             return true;
         if (static_cast<int>(engine.active.size()) >=
-            config_.admission.max_parallel_ops) {
+            admission.max_parallel_ops) {
             return false;
         }
         TimeNs transfer_sum = 0.0;
@@ -222,7 +224,7 @@ class Simulation
             max_delay = std::max(max_delay, ops_[idx].fixed_delay);
         }
         return transfer_sum <
-               config_.admission.latency_headroom * max_delay;
+               admission.latency_headroom * max_delay;
     }
 
     /** Queue slot to start next, or npos. */

@@ -47,9 +47,6 @@ struct NpuSimConfig
     /** Intra-dimension ordering on every NPU's queues. */
     IntraDimPolicy policy = IntraDimPolicy::Scf;
 
-    /** Same admission rule as the dimension-granular runtime. */
-    runtime::AdmissionConfig admission{};
-
     /**
      * Maximum extra per-op start delay injected per NPU (deterministic
      * from `seed`); zero disables skew. Models the "runtime variation"

@@ -159,8 +159,7 @@ loneRunStartOrders(CollectiveType type,
                    const std::vector<ChunkSchedule>& schedules,
                    const std::vector<std::pair<int, DimensionConfig>>& dims,
                    const LatencyModel& model, IntraDimPolicy policy,
-                   const AdmissionConfig& admission, const FlowClass& flow,
-                   PlanCache* step_cache)
+                   const FlowClass& flow, PlanCache* step_cache)
 {
     sim::EventQueue queue;
     std::vector<std::unique_ptr<DimensionEngine>> engines;
@@ -169,7 +168,7 @@ loneRunStartOrders(CollectiveType type,
     for (std::size_t local = 0; local < dims.size(); ++local) {
         engines.push_back(std::make_unique<DimensionEngine>(
             queue, dims[local].second, dims[local].first, policy,
-            admission));
+            AdmissionConfig{}));
         auto* bucket = &orders[local];
         engines.back()->setStartListener([bucket](const OpTag& tag) {
             bucket->push_back(OpKey{tag.chunk_id, tag.stage_index});

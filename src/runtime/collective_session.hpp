@@ -142,19 +142,19 @@ class CollectiveSession
 
 /**
  * The Sec 4.6.2 pre-simulation: run @p schedules alone on fresh
- * engines, one per (global index, config) pair of @p dims (the
- * scope's local dimensions, in order; degraded configs for a degraded
- * fabric), and return each local dimension's op start order. The
- * engines are the real ones, so enforcing these orders on a lone run
- * reproduces it exactly; the result is a pure function of the
- * arguments, so every NPU derives the same orders.
+ * engines with the runtime's (default) admission, one per
+ * (global index, config) pair of @p dims (the scope's local
+ * dimensions, in order; degraded configs for a degraded fabric), and
+ * return each local dimension's op start order. The engines are the
+ * real ones, so enforcing these orders on a lone run reproduces it
+ * exactly; the result is a pure function of the arguments, so every
+ * NPU derives the same orders.
  */
 std::vector<std::vector<OpKey>>
 loneRunStartOrders(CollectiveType type,
                    const std::vector<ChunkSchedule>& schedules,
                    const std::vector<std::pair<int, DimensionConfig>>& dims,
                    const LatencyModel& model, IntraDimPolicy policy,
-                   const AdmissionConfig& admission = {},
                    const FlowClass& flow = {},
                    PlanCache* step_cache = nullptr);
 

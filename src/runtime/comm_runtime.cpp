@@ -11,6 +11,37 @@
 
 namespace themis::runtime {
 
+namespace {
+
+/**
+ * Count every record that @p row_of maps to a row of @p rows (its
+ * index, or -1 for none) into that row: issued and completed
+ * collectives, and the mean duration of the completed ones. The
+ * rows' counts start at zero.
+ */
+template <typename Row, typename RowOf>
+void
+tallyRecords(const std::vector<CommRuntime::Record>& records,
+             std::vector<Row>& rows, RowOf row_of)
+{
+    for (const auto& rec : records) {
+        const int i = row_of(rec);
+        if (i < 0)
+            continue;
+        Row& r = rows[static_cast<std::size_t>(i)];
+        ++r.issued;
+        if (rec.done()) {
+            ++r.completed;
+            r.mean_duration += rec.duration();
+        }
+    }
+    for (Row& r : rows)
+        if (r.completed > 0)
+            r.mean_duration /= r.completed;
+}
+
+} // namespace
+
 RuntimeConfig
 baselineConfig()
 {
@@ -66,7 +97,7 @@ CommRuntime::CommRuntime(sim::EventQueue& queue, Topology topo,
     for (int d = 0; d < topo_.numDims(); ++d) {
         engines_.push_back(std::make_unique<DimensionEngine>(
             queue_ref_, topo_.dim(d), d, config_.intra_policy,
-            config_.admission));
+            AdmissionConfig{}));
         engines_.back()->setPresenceListener(
             [this](int dim, bool present, TimeNs when) {
                 activity_.onPresence(dim, present, when);
@@ -262,7 +293,7 @@ CommRuntime::scopeState(const std::vector<ScopeDim>& scope)
             state.model->scaledBy(factors));
     }
     state.scheduler =
-        makeScheduler(config_.scheduler, *state.model, config_.themis);
+        makeScheduler(config_.scheduler, *state.model);
     return scopes_.emplace(scope, std::move(state)).first->second;
 }
 
@@ -326,8 +357,6 @@ CommRuntime::enforceOrders(int id, const PlanKey& key,
     OrderKey order_key;
     order_key.plan = key;
     order_key.intra_policy = config_.intra_policy;
-    order_key.max_parallel_ops = config_.admission.max_parallel_ops;
-    order_key.latency_headroom = config_.admission.latency_headroom;
     PlanCache::OrderPtr orders;
     if (config_.plan_cache != nullptr)
         orders = config_.plan_cache->findOrders(order_key);
@@ -343,8 +372,7 @@ CommRuntime::enforceOrders(int id, const PlanKey& key,
         orders = keepOrders(
             order_key,
             loneRunStartOrders(key.type, *schedules, plannedDims(scope),
-                               model, config_.intra_policy,
-                               config_.admission, flow,
+                               model, config_.intra_policy, flow,
                                config_.plan_cache));
     THEMIS_ASSERT(orders->size() == scope.size(),
                   "order plan rank mismatch");
@@ -360,8 +388,8 @@ CommRuntime::materializeObserved()
         observed_.key,
         loneRunStartOrders(rec.type, *observed_.schedules,
                            plannedDims(rec.scope), *observed_.model,
-                           config_.intra_policy, config_.admission,
-                           rec.flow, config_.plan_cache));
+                           config_.intra_policy, rec.flow,
+                           config_.plan_cache));
     for (std::size_t local = 0; local < rec.scope.size(); ++local)
         engines_[static_cast<std::size_t>(rec.scope[local].dim)]
             ->setEnforcedOrder(rec.id, (*orders)[local]);
@@ -398,7 +426,7 @@ CommRuntime::issue(const CollectiveRequest& request, Callback on_done)
         max_job_seen_ = request.job;
     live_jobs_.insert(request.job);
     const PlanKey key =
-        PlanKey::make(config_.scheduler, config_.themis, request.type,
+        PlanKey::make(config_.scheduler, ThemisConfig{}, request.type,
                       size, chunks, state.model->fingerprint(),
                       flow.tier, config_.priority.fingerprint(),
                       capacity_fingerprint_);
@@ -806,18 +834,8 @@ CommRuntime::classReports()
                 engine->channel().classProgressedBytes(c);
         r.utilization += utilization_->classUtilization(c);
     }
-    for (const auto& rec : records_) {
-        ClassReport& r =
-            out[static_cast<std::size_t>(rec.flow.tier)];
-        ++r.issued;
-        if (rec.done()) {
-            ++r.completed;
-            r.mean_duration += rec.duration();
-        }
-    }
-    for (ClassReport& r : out)
-        if (r.completed > 0)
-            r.mean_duration /= r.completed;
+    tallyRecords(records_, out,
+                 [](const Record& rec) { return rec.flow.tier; });
     return out;
 }
 
@@ -826,48 +844,43 @@ CommRuntime::jobReports()
 {
     for (const auto& engine : engines_)
         engine->channel().sync();
-    std::map<int, JobReport> rows;
-    for (const int j : live_jobs_)
-        rows[j].job = j;
+    // One row per live job, ascending (live_jobs_ is ordered).
+    std::vector<JobReport> out;
+    out.reserve(live_jobs_.size());
+    for (const int j : live_jobs_) {
+        out.emplace_back();
+        out.back().job = j;
+    }
+    // Records and classes of retired jobs have no row, so they simply
+    // don't attribute here.
+    const auto rowOfJob = [&out](int job) {
+        const auto it = std::lower_bound(
+            out.begin(), out.end(), job,
+            [](const JobReport& r, int j) { return r.job < j; });
+        return it != out.end() && it->job == job
+                   ? static_cast<int>(it - out.begin())
+                   : -1;
+    };
     for (const auto& engine : engines_) {
         for (const int c : engine->channel().classIds()) {
-            const auto it = rows.find(accountingJob(c));
-            if (it == rows.end())
-                continue;
-            it->second.progressed +=
-                engine->channel().classProgressedBytes(c);
+            const int i = rowOfJob(accountingJob(c));
+            if (i >= 0)
+                out[static_cast<std::size_t>(i)].progressed +=
+                    engine->channel().classProgressedBytes(c);
         }
     }
-    for (auto& [j, r] : rows) {
+    const auto& wb = utilization_->classWindowBytes();
+    for (JobReport& r : out) {
         for (int t = 0; t < kNumPriorityTiers; ++t) {
-            const int c = j * kNumPriorityTiers + t;
-            const auto& wb = utilization_->classWindowBytes();
-            const auto it = wb.find(c);
+            const auto it =
+                wb.find(accountingClass(FlowClass{t, 1.0, r.job}));
             if (it != wb.end())
                 r.window_bytes += it->second;
         }
         r.utilization = utilization_->utilizationOf(r.window_bytes);
     }
-    // Records of retired jobs stay in history; their rows are gone,
-    // so they simply don't attribute here.
-    for (const auto& rec : records_) {
-        const auto it = rows.find(rec.job);
-        if (it == rows.end())
-            continue;
-        JobReport& r = it->second;
-        ++r.issued;
-        if (rec.done()) {
-            ++r.completed;
-            r.mean_duration += rec.duration();
-        }
-    }
-    std::vector<JobReport> out;
-    out.reserve(rows.size());
-    for (auto& [j, r] : rows) {
-        if (r.completed > 0)
-            r.mean_duration /= r.completed;
-        out.push_back(std::move(r));
-    }
+    tallyRecords(records_, out,
+                 [&](const Record& rec) { return rowOfJob(rec.job); });
     return out;
 }
 
@@ -877,7 +890,8 @@ CommRuntime::retireJob(int job)
     THEMIS_ASSERT(job >= 0 && job < kMaxJobsPerRuntime,
                   "job index " << job << " outside [0, "
                                << kMaxJobsPerRuntime << ")");
-    JobReport r;
+    std::vector<JobReport> row(1);
+    JobReport& r = row.front();
     r.job = job;
     for (const auto& engine : engines_)
         engine->channel().sync();
@@ -885,7 +899,7 @@ CommRuntime::retireJob(int job)
     // aggregates as it is read so classReports() totals survive the
     // erase below.
     for (int t = 0; t < kNumPriorityTiers; ++t) {
-        const int c = job * kNumPriorityTiers + t;
+        const int c = accountingClass(FlowClass{t, 1.0, job});
         RetiredTierAcct& ret =
             retired_tiers_[static_cast<std::size_t>(t)];
         Bytes progressed = 0.0;
@@ -901,17 +915,9 @@ CommRuntime::retireJob(int job)
         ret.window_bytes += window;
     }
     r.utilization = utilization_->utilizationOf(r.window_bytes);
-    for (const auto& rec : records_) {
-        if (rec.job != job)
-            continue;
-        ++r.issued;
-        if (rec.done()) {
-            ++r.completed;
-            r.mean_duration += rec.duration();
-        }
-    }
-    if (r.completed > 0)
-        r.mean_duration /= r.completed;
+    tallyRecords(records_, row, [job](const Record& rec) {
+        return rec.job == job ? 0 : -1;
+    });
     live_jobs_.erase(job);
     return r;
 }

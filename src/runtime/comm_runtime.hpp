@@ -5,7 +5,7 @@
  * Owns one DimensionEngine per topology dimension, a scheduler per
  * collective scope, and the statistics instrumentation (utilization
  * windows per the Fig 4 definition, per-dimension activity for Fig 9).
- * The workload layer — or a bench — issues CollectiveRequests and
+ * The workload layer — or a test — issues CollectiveRequests and
  * runs the shared event queue; callbacks fire on completion.
  */
 
@@ -67,8 +67,12 @@ struct RuntimeConfig
     /** Inter-dimension scheduling policy. */
     SchedulerKind scheduler = SchedulerKind::Themis;
 
-    /** Themis tunables (ignored for the baseline scheduler). */
-    ThemisConfig themis{};
+    /**
+     * Themis tunables, fixed at the paper's defaults (ignored for the
+     * baseline scheduler). Readable for code that builds plan keys or
+     * schedulers from a RuntimeConfig; assigning it does not compile.
+     */
+    static constexpr ThemisConfig themis{};
 
     /** Intra-dimension ordering (paper: baseline uses FIFO). */
     IntraDimPolicy intra_policy = IntraDimPolicy::Scf;
@@ -76,8 +80,13 @@ struct RuntimeConfig
     /** Default chunks per collective when the request says 0. */
     int default_chunks = 64;
 
-    /** Parallel-admission tunables. */
-    AdmissionConfig admission{};
+    /**
+     * Parallel-admission tunables, fixed at their defaults: only
+     * DimensionEngine's own tests vary them, through its constructor.
+     * Readable for code that builds engines alongside a runtime;
+     * assigning it does not compile.
+     */
+    static constexpr AdmissionConfig admission{};
 
     /**
      * Fix and enforce per-dimension chunk-op start orders

@@ -325,9 +325,6 @@ DimensionEngine::armFaults(const RetryConfig& retry)
     if (retry.max_attempts < 1)
         THEMIS_FATAL("retry max_attempts must be >= 1, got "
                      << retry.max_attempts);
-    if (retry.jitter < 0.0 || retry.jitter >= 1.0)
-        THEMIS_FATAL("retry jitter must be in [0, 1), got "
-                     << retry.jitter);
     faults_armed_ = true;
     retry_ = retry;
 }
@@ -780,25 +777,7 @@ DimensionEngine::retryBackoffDelay(const ChunkOp& op) const
     for (int k = 1; k < op.attempt && delay < retry_.backoff_cap_ns;
          ++k)
         delay *= 2.0;
-    if (delay > retry_.backoff_cap_ns)
-        delay = retry_.backoff_cap_ns;
-    if (retry_.jitter > 0.0) {
-        // Deterministic per-(op, attempt) spread so a flap's batch of
-        // simultaneous failures fans out instead of re-colliding on
-        // one backoff tick. Hash -> u in [0, 1) -> factor in
-        // [1 - jitter/2, 1 + jitter/2).
-        Fnv1a h;
-        h.mix(retry_.jitter_seed);
-        h.mix(static_cast<std::uint64_t>(global_dim_));
-        h.mix(static_cast<std::uint64_t>(op.tag.collective_id));
-        h.mix(static_cast<std::uint64_t>(op.tag.chunk_id));
-        h.mix(static_cast<std::uint64_t>(op.tag.stage_index));
-        h.mix(static_cast<std::uint64_t>(op.attempt));
-        const double u =
-            static_cast<double>(h.value() >> 11) * 0x1.0p-53;
-        delay *= 1.0 + retry_.jitter * (u - 0.5);
-    }
-    return delay;
+    return std::min(delay, retry_.backoff_cap_ns);
 }
 
 void

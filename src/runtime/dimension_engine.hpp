@@ -151,29 +151,15 @@ struct AdmissionConfig
  * Retry/backoff tunables for flapped transfers (fault engine). A
  * failed chunk op re-enters the ready set after exponential backoff:
  * attempt k (1-based) waits min(backoff_base_ns * 2^(k-1),
- * backoff_cap_ns) before requeueing — optionally spread by seeded
- * deterministic jitter — and exceeding max_attempts throws
- * RetryExhaustedError (the scenario out-flaps the retry budget).
+ * backoff_cap_ns) before requeueing, and exceeding max_attempts
+ * throws RetryExhaustedError (the scenario out-flaps the retry
+ * budget).
  */
 struct RetryConfig
 {
     TimeNs backoff_base_ns = 1e4; ///< first-retry delay (10 us)
     TimeNs backoff_cap_ns = 1e6;  ///< backoff ceiling (1 ms)
     int max_attempts = 16;        ///< fatal beyond this many failures
-
-    /**
-     * Backoff jitter spread in [0, 1): each retry's delay is scaled
-     * by a deterministic factor in [1 - jitter/2, 1 + jitter/2) drawn
-     * by hashing (jitter_seed, dim, op identity, attempt). A link
-     * flap fails every in-flight transfer at one instant; without
-     * jitter they all back off to the same tick and re-collide
-     * (a synchronized retry storm). 0 disables jitter entirely and
-     * reproduces the unjittered timings bit for bit.
-     */
-    double jitter = 0.0;
-
-    /** Seed for the jitter hash; same seed -> same retry timings. */
-    std::uint64_t jitter_seed = 0x7e315c0dULL;
 };
 
 /**
@@ -523,7 +509,7 @@ class DimensionEngine
      *  @p lost re-sent bytes, and schedule its backoff requeue. */
     void failOp(OpHandle h, Bytes lost);
 
-    /** Capped exponential backoff (plus jitter) for @p op's attempt. */
+    /** Capped exponential backoff for @p op's attempt. */
     TimeNs retryBackoffDelay(const ChunkOp& op) const;
     /** Backoff expiry: the op re-enters the ready set directly (an
      *  enforced order's cursor has already passed a started op). */

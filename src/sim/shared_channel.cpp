@@ -137,13 +137,6 @@ SharedChannel::classProgressedBytes(int cls) const
     return it == classes_.end() ? 0.0 : it->second.progressed;
 }
 
-TimeNs
-SharedChannel::classBusyTime(int cls) const
-{
-    const auto it = classes_.find(cls);
-    return it == classes_.end() ? 0.0 : it->second.busy;
-}
-
 SharedChannel::TransferId
 SharedChannel::begin(Bytes bytes, Callback on_done)
 {
@@ -239,7 +232,6 @@ SharedChannel::epochReset()
     weight_sum_ = 0.0;
     last_update_ = queue_.now();
     progressed_bytes_ = 0.0;
-    busy_time_ = 0.0;
     // Keep the tracked class set (per-class reports keep their rows
     // across iteration epochs); zero the accumulators. No transfer is
     // in flight, so the busy list is necessarily empty already.
@@ -371,13 +363,10 @@ SharedChannel::advanceTo(TimeNs t)
     const double rate = virtualRate();
     vtime_ += rate * dt;
     progressed_bytes_ += capacity_ * dt;
-    busy_time_ += dt;
     // Per-class attribution: a class with aggregate weight W_c moves
     // capacity * W_c / weight_sum = rate * W_c bytes per ns.
-    for (ClassState* cs : busy_classes_) {
+    for (ClassState* cs : busy_classes_)
         cs->progressed += rate * cs->weight_sum * dt;
-        cs->busy += dt;
-    }
     maybeRebase();
 }
 

@@ -35,8 +35,9 @@
  *
  * Per-class accounting: every transfer carries a small non-negative
  * class index (a priority tier); the channel tracks progressed bytes
- * and busy time (>= 1 active transfer of the class) per class, which
- * is what the stats layer turns into per-class utilization columns.
+ * per class, which is what the stats layer turns into per-class
+ * utilization columns. (Busy time per dimension, Fig 9, comes from
+ * stats::ActivityTimeline, not from the channel.)
  */
 
 #ifndef THEMIS_SIM_SHARED_CHANNEL_HPP
@@ -60,7 +61,7 @@ namespace themis::sim {
  * sum(w_j).
  *
  * Also accumulates the statistics utilization tracking needs: total
- * and per-class progressed bytes and busy time.
+ * and per-class progressed bytes.
  */
 class SharedChannel
 {
@@ -154,9 +155,6 @@ class SharedChannel
      */
     Bytes progressedBytes() const { return progressed_bytes_; }
 
-    /** Total time with at least one active transfer, up to last sync. */
-    TimeNs busyTime() const { return busy_time_; }
-
     /**
      * One past the largest class index currently tracked (0 when no
      * class is). Retiring the top class lowers it, so dense
@@ -172,7 +170,7 @@ class SharedChannel
     std::size_t trackedClassCount() const { return classes_.size(); }
 
     /**
-     * Retire one class's accounting: its progressed/busy accumulators
+     * Retire one class's accounting: its progressed-byte accumulator
      * are dropped so a runtime hosting job churn stays O(active jobs),
      * not O(all-ever-seen). Requires the class to be idle (asserts no
      * active transfer); a later begin() in the same class index simply
@@ -182,9 +180,6 @@ class SharedChannel
 
     /** Bytes progressed by class @p cls, up to last sync (0 if unseen). */
     Bytes classProgressedBytes(int cls) const;
-
-    /** Time with >= 1 active class-@p cls transfer, up to last sync. */
-    TimeNs classBusyTime(int cls) const;
 
     /** Largest concurrent transfer count seen so far. */
     std::size_t peakActiveCount() const { return peak_active_; }
@@ -220,7 +215,6 @@ class SharedChannel
         double weight_sum = 0.0;
         std::size_t active = 0;
         Bytes progressed = 0.0;
-        TimeNs busy = 0.0;
     };
 
     /**
@@ -349,7 +343,6 @@ class SharedChannel
     TimeNs last_update_ = 0.0;
     EventQueue::EventId pending_event_ = 0;
     Bytes progressed_bytes_ = 0.0;
-    TimeNs busy_time_ = 0.0;
     std::size_t peak_active_ = 0;
 };
 

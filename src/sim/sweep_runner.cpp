@@ -42,8 +42,7 @@ resolveThreads(int requested)
 } // namespace
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : threads_(resolveThreads(options.threads)),
-      front_end_(options.front_end)
+    : threads_(resolveThreads(options.threads))
 {
 }
 
@@ -72,7 +71,7 @@ SweepRunner::run(std::vector<Job> jobs)
         static_cast<int>(std::min<std::size_t>(
             jobs.size(), static_cast<std::size_t>(threads_)));
     if (workers <= 1) {
-        EventQueue queue(front_end_);
+        EventQueue queue;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             run_job(jobs[i], i, queue);
             queue.reset();
@@ -85,7 +84,7 @@ SweepRunner::run(std::vector<Job> jobs)
     std::exception_ptr first_error;
     std::mutex error_mutex;
     auto worker = [&] {
-        EventQueue queue(front_end_);
+        EventQueue queue;
         while (true) {
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);

@@ -6,11 +6,11 @@
  * parallelism comes from running *disjoint* simulations concurrently:
  * each worker thread owns one EventQueue, pulls jobs off a shared
  * atomic counter, and resets its queue between jobs. This is what the
- * figure/bench harnesses need — a topology x model x chunk-count grid
- * is embarrassingly parallel — and it keeps every individual
- * simulation bit-deterministic regardless of worker count or job
- * interleaving (jobs write results into caller-owned, index-addressed
- * slots).
+ * CLI grids and the paper-figure tests need — a topology x model x
+ * chunk-count grid is embarrassingly parallel — and it keeps every
+ * individual simulation bit-deterministic regardless of worker count
+ * or job interleaving (jobs write results into caller-owned,
+ * index-addressed slots).
  *
  * Jobs must not share mutable state with each other (construct the
  * runtime, topology and stats inside the job), and must not change
@@ -41,13 +41,6 @@ struct SweepOptions
      * with a ConfigError rather than silently ignored.
      */
     int threads = 0;
-
-    /**
-     * Pending-set front end of every worker-owned EventQueue. The
-     * calendar is the measurement baseline; results are bit-identical
-     * either way.
-     */
-    EventFrontEnd front_end = EventFrontEnd::Heap;
 };
 
 /** Fans independent simulation jobs across workers; see file comment. */
@@ -73,7 +66,6 @@ class SweepRunner
 
   private:
     int threads_;
-    EventFrontEnd front_end_;
 };
 
 /**

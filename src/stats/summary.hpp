@@ -1,7 +1,6 @@
 /**
  * @file
- * Text-table formatting for CLI/example reports, plus the summary
- * record of a single communication run.
+ * Text-table formatting for CLI/example reports.
  */
 
 #ifndef THEMIS_STATS_SUMMARY_HPP
@@ -14,21 +13,6 @@
 #include "common/units.hpp"
 
 namespace themis::stats {
-
-/** Result of simulating one collective (or a batch of them). */
-struct CommRunSummary
-{
-    std::string label;
-
-    /** Total simulated communication time. */
-    TimeNs comm_time = 0.0;
-
-    /** Weighted average BW utilization during comm-active windows. */
-    double weighted_utilization = 0.0;
-
-    /** Per-dimension utilization. */
-    std::vector<double> per_dim_utilization;
-};
 
 /** One flow-class row of a priority breakdown table. */
 struct ClassUsageRow
@@ -122,8 +106,7 @@ std::string renderJobTable(const std::vector<JobUsageRow>& rows);
 
 /**
  * One mode row of a multi-iteration convergence-run comparison
- * (plain numbers so the CLI and the bench can share one renderer
- * without this layer depending on workload types).
+ * (plain numbers, so this layer does not depend on workload types).
  */
 struct ConvergenceRunRow
 {

@@ -26,6 +26,12 @@ using runtime::CommRuntime;
 constexpr long long kHyperPeriodSaturation = 1LL << 30;
 
 /**
+ * Bit-identical cycles required before the remainder is replayed: a
+ * cycle that repeats once (two in a row) is confirmed.
+ */
+constexpr long long kConfirmCycles = 2;
+
+/**
  * Fold one iteration into the running totals. Replay uses the same
  * function with the steady cycle's values, so the replayed
  * accumulation performs bit-for-bit the operations full simulation
@@ -148,9 +154,6 @@ runConverged(runtime::CommRuntime& comm,
              const ConvergenceOptions& opts)
 {
     THEMIS_ASSERT(opts.iterations >= 1, "need at least one iteration");
-    THEMIS_ASSERT(opts.confirm_iterations >= 2,
-                  "steady state needs at least a pair of identical "
-                  "cycles");
     THEMIS_ASSERT(!jobs.empty(), "no lockstep jobs to step");
     THEMIS_ASSERT(opts.cycle_limit >= 0,
                   "cycle limit must be >= 1 (0 = auto)");
@@ -277,14 +280,13 @@ runConverged(runtime::CommRuntime& comm,
         slot.s = s;
     };
 
-    // Smallest candidate whose last (confirm_iterations - 1) cycles
-    // each bit-matched the cycle before them. For a single-cadence mix
+    // Smallest candidate whose last (kConfirmCycles - 1) cycles each
+    // bit-matched the cycle before them. For a single-cadence mix
     // (k = 1) this is exactly the original period-1 condition.
     const auto confirmedCycle = [&]() -> long long {
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             const long long k = candidates[c];
-            if (streaks[c] >=
-                static_cast<long long>(eff.confirm_iterations - 1) * k)
+            if (streaks[c] >= (kConfirmCycles - 1) * k)
                 return k;
         }
         return 0;
@@ -349,41 +351,30 @@ runConverged(runtime::CommRuntime& comm,
         for (const LockstepJob& j : jobs)
             if (round % j.cadence == 0)
                 due.push_back(&j);
-        if (jobs.size() == 1 && due.size() == 1 &&
-            due.front()->loop != nullptr) {
-            // Single always-stepping loop: the synchronous path,
-            // byte for byte.
-            b = due.front()->loop->runIteration();
-        } else {
-            int custom_inflight = 0;
-            for (const LockstepJob* j : due) {
-                if (j->loop != nullptr) {
-                    j->loop->beginIterationAsync(nullptr);
-                } else {
-                    ++custom_inflight;
-                    j->begin([&custom_inflight] {
-                        --custom_inflight;
-                    });
-                }
+        int custom_inflight = 0;
+        for (const LockstepJob* j : due) {
+            if (j->loop != nullptr) {
+                j->loop->beginIterationAsync(nullptr);
+            } else {
+                ++custom_inflight;
+                j->begin([&custom_inflight] { --custom_inflight; });
             }
-            comm.queue().run();
-            for (const LockstepJob* j : due) {
-                if (j->loop != nullptr) {
-                    THEMIS_ASSERT(
-                        !j->loop->iterationInFlight(),
-                        "event queue drained before every job's "
-                        "iteration finished (lost completion "
-                        "callback?)");
-                    b += j->loop->lastIteration();
-                } else {
-                    b += j->last();
-                }
-            }
-            THEMIS_ASSERT(custom_inflight == 0,
-                          "event queue drained before every job's "
-                          "request finished (lost completion "
-                          "callback?)");
         }
+        comm.queue().run();
+        for (const LockstepJob* j : due) {
+            if (j->loop != nullptr) {
+                THEMIS_ASSERT(!j->loop->iterationInFlight(),
+                              "event queue drained before every job's "
+                              "iteration finished (lost completion "
+                              "callback?)");
+                b += j->loop->lastIteration();
+            } else {
+                b += j->last();
+            }
+        }
+        THEMIS_ASSERT(custom_inflight == 0,
+                      "event queue drained before every job's request "
+                      "finished (lost completion callback?)");
         CommRuntime::EpochStats s = comm.finishIterationEpoch();
         accumulate(r, b, s);
         ++r.simulated_iterations;

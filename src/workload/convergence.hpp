@@ -27,11 +27,11 @@
  * bounded ring of per-epoch (breakdown, stats) entries and, for every
  * candidate cycle length k in {H, 2H, ...} up to `cycle_limit`,
  * counts how long the last k epochs have bit-matched the k epochs
- * before them. Once a candidate holds for `confirm_iterations - 1`
- * whole cycles, the remaining rounds are *replayed analytically*:
- * the confirmed k-epoch delta block is integrated forward cyclically
- * with O(dimensions + classes) additions per round instead of
- * re-running the event loop. The accumulation arithmetic is the same
+ * before them. Once a candidate holds for one whole cycle (two
+ * identical cycles in a row), the remaining rounds are *replayed
+ * analytically*: the confirmed k-epoch delta block is integrated
+ * forward cyclically with O(dimensions + classes) additions per round
+ * instead of re-running the event loop. The accumulation arithmetic is the same
  * one the fully simulated path uses, so replayed totals are
  * bit-identical to what full simulation would produce — and the
  * `exactness_check` mode proves it in-binary by co-running the full
@@ -65,12 +65,6 @@ struct ConvergenceOptions
      * bit-identical either way).
      */
     bool replay = true;
-
-    /**
-     * Consecutive bit-identical iterations required before the
-     * remainder is replayed (>= 2; the first pair is one match).
-     */
-    int confirm_iterations = 2;
 
     /**
      * Keep simulating after detection and assert every subsequent
@@ -179,7 +173,7 @@ struct ConvergenceReport
  * a replayed run and a fully simulated run of the same workload must
  * satisfy this even though they did different amounts of event-loop
  * work. The single definition of "bit-identical" shared by the
- * exactness-check mode and the convergence bench.
+ * exactness-check mode, the tests and perfbench.
  */
 bool resultsBitIdentical(const ConvergenceReport& a,
                          const ConvergenceReport& b);

@@ -5,8 +5,7 @@
  * topology, partial-capacity semantics of single-link outages (with
  * byte conservation), fault-free bit-identity with adaptation armed,
  * deterministic re-planning under capacity loss, adaptive-vs-static
- * makespans, seeded retry jitter, and retry exhaustion surfacing as a
- * structured failure.
+ * makespans, and retry exhaustion surfacing as a structured failure.
  */
 
 #include <gtest/gtest.h>
@@ -298,66 +297,6 @@ TEST(Adaptation, AdaptivePlanBeatsStaleStaticPlan)
     EXPECT_GT(adaptive_dlrm.replans, 0u);
     EXPECT_GE(stale_dlrm.report.total.total,
               1.10 * adaptive_dlrm.report.total.total);
-}
-
-// ------------------------------------------------ retry jitter
-
-TEST(RetryJitter, FaultFreeRunsIgnoreJitter)
-{
-    // Jitter only touches retry backoff; with no retries the timing
-    // must stay bit-identical whatever the spread.
-    const Topology topo = presets::byName("2D-SW_SW");
-    const auto plain =
-        runOneCollective(topo, runtime::themisScfConfig());
-    auto cfg = runtime::themisScfConfig();
-    cfg.retry.jitter = 0.9;
-    const auto jittered = runOneCollective(topo, cfg);
-    EXPECT_DOUBLE_EQ(jittered.duration, plain.duration);
-}
-
-TEST(RetryJitter, JitteredRetriesAreSeededAndConserve)
-{
-    const Topology topo = presets::byName("2D-SW_SW");
-    FaultTimeline tl;
-    tl.addLinkFlap(0, 1, 2.0e4, 4.0e4);
-
-    auto run = [&](double jitter, std::uint64_t seed) {
-        auto cfg = runtime::themisScfConfig();
-        cfg.faults = &tl;
-        cfg.retry.jitter = jitter;
-        cfg.retry.jitter_seed = seed;
-        return runOneCollective(topo, cfg);
-    };
-    const auto a = run(0.5, 7);
-    const auto b = run(0.5, 7);
-    EXPECT_GT(a.comm->engine(0).retryCount(), 0u);
-    EXPECT_DOUBLE_EQ(a.duration, b.duration); // same seed, same run
-
-    // jitter=0 reproduces the unjittered engine bit for bit
-    // (whatever the seed — the hash is never consulted).
-    const auto z1 = run(0.0, 7);
-    const auto z2 = run(0.0, 12345);
-    EXPECT_DOUBLE_EQ(z1.duration, z2.duration);
-
-    // Conservation holds under jittered retries.
-    const auto clean =
-        runOneCollective(topo, runtime::themisScfConfig());
-    for (int d = 0; d < topo.numDims(); ++d) {
-        auto& clean_ch = clean.comm->engine(d).channel();
-        auto& ch = a.comm->engine(d).channel();
-        clean_ch.sync();
-        ch.sync();
-        const Bytes want = clean_ch.progressedBytes() +
-                           a.comm->engine(d).lostBytes();
-        EXPECT_NEAR(ch.progressedBytes(), want, 1.0 + 1e-6 * want)
-            << "dim " << d;
-    }
-
-    auto bad = runtime::themisScfConfig();
-    bad.faults = &tl;
-    bad.retry.jitter = 1.0; // spread must stay in [0, 1)
-    sim::EventQueue q;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, bad), ConfigError);
 }
 
 // ------------------------------------------- retry exhaustion

@@ -62,6 +62,17 @@ TEST(Error, FatalMessageContainsPayload)
     }
 }
 
+TEST(Error, FatalMessageIsThePayloadAlone)
+{
+    // The CLI prints what() to the user: no source file or line.
+    try {
+        THEMIS_FATAL("x");
+        FAIL() << "expected ConfigError";
+    } catch (const ConfigError& e) {
+        EXPECT_STREQ(e.what(), "x");
+    }
+}
+
 TEST(Error, AssertPassesOnTrue)
 {
     THEMIS_ASSERT(1 + 1 == 2, "arithmetic broke");

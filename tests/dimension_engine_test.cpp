@@ -2,9 +2,9 @@
  * @file
  * Unit tests of the per-dimension execution engine: queueing order,
  * admission of parallel small ops, enforced-order gating, presence
- * and listener plumbing, and the ready set's edge paths (enforced
- * releases, mid-key parking, anti-starvation across tiers, drained
- * keys, observed orders).
+ * and listener plumbing, admission validation, and the ready set's
+ * edge paths (enforced releases, mid-key parking, anti-starvation
+ * across tiers, drained keys, observed orders).
  */
 
 #include <gtest/gtest.h>
@@ -243,7 +243,6 @@ TEST(DimensionEngine, OpStorageIsReusedAcrossEveryPath)
     RetryConfig retry;
     retry.backoff_base_ns = 1000.0;
     retry.backoff_cap_ns = 1.0e5;
-    retry.jitter = 0.25;
     engine.armFaults(retry);
     Fnv1a fingerprint;
     engine.armFingerprint(&fingerprint);
@@ -503,6 +502,26 @@ TEST(DimensionEngine, RejectsWrongDimensionOps)
     DimensionEngine engine(h.queue, h.cfg, 3, IntraDimPolicy::Fifo,
                            AdmissionConfig{});
     EXPECT_DEATH(engine.enqueue(h.op(0, 1.0e6)), "enqueued on dim");
+}
+
+TEST(DimensionEngine, RejectsBadAdmissionConfig)
+{
+    // A bad admission tunable is a configuration error, not a panic.
+    Harness h;
+    const auto build = [&h](const AdmissionConfig& admission) {
+        DimensionEngine engine(h.queue, h.cfg, 0, IntraDimPolicy::Scf,
+                               admission);
+    };
+    AdmissionConfig bad_parallel;
+    bad_parallel.max_parallel_ops = 0;
+    EXPECT_THROW(build(bad_parallel), ConfigError);
+    AdmissionConfig bad_headroom;
+    bad_headroom.latency_headroom = 0.0;
+    EXPECT_THROW(build(bad_headroom), ConfigError);
+    AdmissionConfig bad_bypass;
+    bad_bypass.max_priority_bypass = 0;
+    EXPECT_THROW(build(bad_bypass), ConfigError);
+    EXPECT_NO_THROW(build(AdmissionConfig{}));
 }
 
 } // namespace

@@ -283,21 +283,6 @@ TEST(FaultRuntime, ConfigRejectsBadWiring)
     EXPECT_THROW(runtime::CommRuntime(q, topo, bad_retry),
                  ConfigError);
 
-    // A bad admission tunable is a configuration error too, not a
-    // panic.
-    auto bad_parallel = runtime::themisScfConfig();
-    bad_parallel.admission.max_parallel_ops = 0;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_parallel),
-                 ConfigError);
-    auto bad_headroom = runtime::themisScfConfig();
-    bad_headroom.admission.latency_headroom = 0.0;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_headroom),
-                 ConfigError);
-    auto bad_bypass = runtime::themisScfConfig();
-    bad_bypass.admission.max_priority_bypass = 0;
-    EXPECT_THROW(runtime::CommRuntime(q, topo, bad_bypass),
-                 ConfigError);
-
     // The compatibility constructor accepts the retired baselines'
     // arguments only when every one of them is off.
     const runtime::AdmissionConfig adm;

@@ -257,13 +257,11 @@ TEST(PlanCache, EnforcedOrdersCachedAndSound)
     const LatencyModel& model = comm.modelForScope({});
     OrderKey key;
     key.plan = PlanKey::make(
-        cfg.scheduler, cfg.themis, req.type,
+        cfg.scheduler, ThemisConfig{}, req.type,
         schedulableSize(req.type, req.size, model.dimSizes()), req.chunks,
         model.fingerprint(), cfg.priority.flowFor(req.priority_tier).tier,
         cfg.priority.fingerprint());
     key.intra_policy = cfg.intra_policy;
-    key.max_parallel_ops = cfg.admission.max_parallel_ops;
-    key.latency_headroom = cfg.admission.latency_headroom;
     const PlanCache::OrderPtr lone = cache.findOrders(key);
     const PlanCache::OrderPtr eager = later.findOrders(key);
     ASSERT_NE(lone, nullptr);

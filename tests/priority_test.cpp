@@ -97,8 +97,6 @@ TEST(WeightedChannel, ByteConservationUnderMixedWeights)
     // abort only ever adds on top of class 0).
     EXPECT_GE(ch.classProgressedBytes(0), expected[0] - 1e-3);
     EXPECT_NEAR(ch.classProgressedBytes(1), expected[1], 1e-3);
-    EXPECT_GT(ch.classBusyTime(0), 0.0);
-    EXPECT_GT(ch.classBusyTime(1), 0.0);
 }
 
 TEST(WeightedChannel, WeightAwareRebasePastPetascale)
@@ -149,9 +147,9 @@ TEST(WeightedChannel, RebaseAcrossConcurrentMixedWeights)
 TEST(WeightedChannel, EqualWeightsMatchRecordedEqualShareTimes)
 {
     // A staggered begin/abort script at unit weights must reproduce,
-    // bit for bit, the completion timestamps, progressed bytes and
-    // busy time the retired count-based equal-share channel recorded:
-    // the weight sum of n unit flows is exactly n.
+    // bit for bit, the completion timestamps and progressed bytes the
+    // retired count-based equal-share channel recorded: the weight sum
+    // of n unit flows is exactly n.
     EventQueue q;
     SharedChannel ch(q, 37.5);
     std::vector<TimeNs> times;
@@ -168,12 +166,10 @@ TEST(WeightedChannel, EqualWeightsMatchRecordedEqualShareTimes)
     q.run();
     ch.sync();
     times.push_back(ch.progressedBytes());
-    times.push_back(ch.busyTime());
     const std::vector<TimeNs> want = {
         0x1.b7c3555555555p+13, 0x1.835c7dbf487fcp+14,
         0x1.00554e075f6fdp+15, 0x1.53c90ce703afbp+15,
-        0x1.68a39a7cca9d8p+15, 0x1.a69fb90a3d70ap+20,
-        0x1.68a39a7cca9d8p+15};
+        0x1.68a39a7cca9d8p+15, 0x1.a69fb90a3d70ap+20};
     ASSERT_EQ(times.size(), want.size());
     for (std::size_t i = 0; i < times.size(); ++i)
         EXPECT_EQ(times[i], want[i]) << "index " << i;

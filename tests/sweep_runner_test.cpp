@@ -127,26 +127,5 @@ TEST(SweepRunner, SingleThreadRunsInline)
     EXPECT_EQ(count, 5);
 }
 
-TEST(SweepRunner, FrontEndOptionSelectsWorkerQueues)
-{
-    auto job = [](std::size_t i, EventQueue& queue) {
-        SharedChannel ch(queue, 25.0);
-        TimeNs done_at = -1.0;
-        ch.begin(500.0 * (static_cast<double>(i % 7) + 1.0),
-                 [&done_at, &queue] { done_at = queue.now(); });
-        queue.run();
-        return done_at;
-    };
-    SweepOptions calendar;
-    calendar.threads = 4;
-    calendar.front_end = EventFrontEnd::Calendar;
-    SweepOptions heap;
-    heap.threads = 4;
-    heap.front_end = EventFrontEnd::Heap;
-    // Bit-identical results regardless of the pending-set front end.
-    EXPECT_EQ(sweepIndexed(24, job, calendar),
-              sweepIndexed(24, job, heap));
-}
-
 } // namespace
 } // namespace themis::sim

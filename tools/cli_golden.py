@@ -10,8 +10,6 @@ read the result stores earlier steps wrote. Each step has:
   args    the command-line arguments
   stdin   optional text piped to the binary
   exit    expected exit code (default 0)
-  stderr  false to skip comparing stderr (messages that embed source
-          file paths, which differ per checkout)
 
 and, in tests/golden/cli/<scenario>/, the expected outputs of step N:
 
@@ -140,7 +138,7 @@ def run_scenario(binary, scenario):
                     "exit %d, expected %d\nstderr:\n%s"
                     % (proc.returncode, want_exit, proc.stderr))
             actual["%d.stdout" % n] = normalize_stdout(proc.stdout)
-            if want_exit != 0 and step.get("stderr", True):
+            if want_exit != 0:
                 actual["%d.stderr" % n] = proc.stderr
             report = report_path(step["args"])
             if report is not None and want_exit == 0:
