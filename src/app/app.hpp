@@ -44,8 +44,9 @@ struct Session
     runtime::RuntimeConfig runtimeConfig(const Topology& topo);
 
     /**
-     * Write --trace, then --report with the metrics and flight
-     * recorder attached (unless !@p with_telemetry), announcing each.
+     * Print @p report's text form, then write --trace and --report
+     * (with the metrics and flight recorder attached unless
+     * !@p with_telemetry), announcing each.
      */
     void finish(stats::telemetry::RunReport& report,
                 bool with_telemetry = true) const;
@@ -97,6 +98,15 @@ std::string hex16(std::uint64_t h);
 
 /** Monotonic wall clock in milliseconds. */
 double nowMs();
+
+/**
+ * The platform facts of a report: the "topology" info, the "npus"
+ * number and a "dims" table of each dimension's link (plus its
+ * bandwidth utilization when @p util is given).
+ */
+void reportTopology(stats::telemetry::RunReport& report,
+                    const Topology& topo,
+                    const std::vector<double>& util = {});
 
 /**
  * Cluster-run config: Themis upgrades to its priority-aware variant

@@ -19,12 +19,11 @@
 #include "sim/grid_shard.hpp"
 #include "sim/result_store.hpp"
 #include "sim/sweep_runner.hpp"
-#include "stats/summary.hpp"
-#include "stats/telemetry/json_writer.hpp"
 
 namespace themis::app {
 
 using stats::telemetry::RunReport;
+using stats::telemetry::Unit;
 
 namespace {
 
@@ -109,29 +108,17 @@ makeRecord(std::string key, const CellOutcome& out)
     return rec;
 }
 
-/** "N plans, H hits / M misses" of the shared plan cache. */
-std::string
-planCacheSummary(const PlanCache& cache)
-{
-    const auto stats = cache.stats();
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "%zu plans, %llu hits / %llu misses",
-                  cache.planCount(),
-                  static_cast<unsigned long long>(stats.plan_hits),
-                  static_cast<unsigned long long>(stats.plan_misses));
-    return buf;
-}
-
 /** Set the plan-cache numbers of a batch report. */
 void
 reportPlanCache(RunReport& report, const PlanCache& cache)
 {
     const auto stats = cache.stats();
     report.setNumber("plan_cache_plans",
-                     static_cast<double>(cache.planCount()));
-    report.setNumber("plan_cache_hits", static_cast<double>(stats.plan_hits));
+                     static_cast<double>(cache.planCount()), Unit::Count);
+    report.setNumber("plan_cache_hits", static_cast<double>(stats.plan_hits),
+                     Unit::Count);
     report.setNumber("plan_cache_misses",
-                     static_cast<double>(stats.plan_misses));
+                     static_cast<double>(stats.plan_misses), Unit::Count);
 }
 
 /**
@@ -164,7 +151,7 @@ parseAxis(const std::string& arg, char sep, const char* what, Parse parse)
 }
 
 double
-valueOf(const Values& vals, const char* name)
+valueOf(const Values& vals, const std::string& name)
 {
     for (const auto& [n, v] : vals)
         if (n == name)
@@ -186,12 +173,12 @@ runMerge(Session& s)
     const std::vector<std::string> inputs(parts.begin() + 1, parts.end());
     const std::string merged = sim::ResultStore::canonicalMerge(inputs);
     writeFile(parts.front(), merged);
-    std::printf("merged %zu store(s) -> %s (%zu bytes, canonical)\n",
-                inputs.size(), parts.front().c_str(), merged.size());
     RunReport report("merge");
     report.setInfo("output", parts.front());
-    report.setNumber("inputs", static_cast<double>(inputs.size()));
-    report.setNumber("bytes", static_cast<double>(merged.size()));
+    report.setNumber("inputs", static_cast<double>(inputs.size()),
+                     Unit::Count);
+    report.setNumber("bytes", static_cast<double>(merged.size()),
+                     Unit::Count);
     s.finish(report, false);
     return 0;
 }
@@ -206,7 +193,7 @@ runGrid(Session& s)
     const Options& o = s.opt;
     struct GridTopo
     {
-        std::string token; ///< the key field: specs all name "custom"
+        std::string token; ///< key field and label: specs all name "custom"
         Topology topo;
     };
     struct JobsMix
@@ -305,23 +292,68 @@ runGrid(Session& s)
         for (std::size_t j = 0; j < pending.size(); ++j)
             store->append(makeRecord(keyOf(pending[j]), fresh[j]));
 
-    if (mixes.empty())
-        std::printf("%s of %s, %zu-cell grid over %zu topologies:\n\n",
-                    collectiveTypeName(req.type).c_str(),
-                    fmtBytes(req.size).c_str(), cells, topos.size());
+    RunReport report("grid");
+    if (o.grid.empty())
+        report.setInfo("topology", o.topo);
     else
-        std::printf("%zu-mix cluster grid, %zu cells over %zu topologies "
-                    "(policy tiered(%g)):\n\n",
-                    mixes.size(), cells, topos.size(), o.tier_ratio);
-    stats::TextTable t(
-        mixes.empty() ? std::vector<std::string>{"Topology", "Chunks",
-                                                 "Scheduler", "Time",
-                                                 "Avg BW util"}
-                      : std::vector<std::string>{"Topology", "Jobs", "Chunks",
-                                                 "Scheduler", "Makespan",
-                                                 "Fabric util"});
-    stats::telemetry::JsonWriter cellw; // the report's "cells" section
-    cellw.beginArray();
+        report.setInfo("grid", o.grid);
+    for (const auto& [key, value] : {std::pair{"sweep", &o.sweep},
+                                     std::pair{"jobs", &o.jobs},
+                                     std::pair{"results_store", &o.results}})
+        if (!value->empty())
+            report.setInfo(key, *value);
+    if (!shard.whole() || store != nullptr)
+        report.setInfo("shard", std::to_string(shard.index) + "/" +
+                                    std::to_string(shard.count));
+    if (mixes.empty()) {
+        report.setInfo("collective", collectiveTypeName(req.type));
+        report.setNumber("size_bytes", req.size, Unit::Bytes);
+    } else {
+        report.setNumber("mixes", static_cast<double>(mixes.size()),
+                         Unit::Count);
+        report.setNumber("tier_ratio", o.tier_ratio);
+    }
+    report.setNumber("topologies", static_cast<double>(topos.size()),
+                     Unit::Count);
+    const std::tuple<const char*, const char*, std::size_t> counts[] = {
+        {"grid.cells.total", "cells", cells},
+        {"grid.cells.owned", "owned", owned.size()},
+        {"grid.cells.resumed", "resumed", resumed},
+        {"grid.cells.simulated", "simulated", pending.size()}};
+    for (const auto& [gauge, number, n] : counts) {
+        s.telem.metrics.gauge(gauge).set(static_cast<double>(n));
+        report.setNumber(number, static_cast<double>(n), Unit::Count);
+    }
+    if (interrupted)
+        report.setInfo("interrupted", "--max-cells");
+    if (store != nullptr) {
+        report.setNumber("store_records", static_cast<double>(store->size()),
+                         Unit::Count);
+        if (store->recoveredTruncatedTail())
+            report.setInfo("store_recovery", "truncated tail recovered");
+    }
+    report.setNumber("wall_ms", wall_ms);
+    report.setNumber("cells_per_sec",
+                     static_cast<double>(pending.size()) / (wall_ms * 1e-3));
+    reportPlanCache(report, cache);
+
+    std::vector<RunReport::Column> cols = {{"key", ""},
+                                           {"topology", "Topology"}};
+    if (!mixes.empty())
+        cols.push_back({"jobs", "Jobs"});
+    cols.push_back({"chunks", "Chunks", Unit::Count});
+    cols.push_back({"scheduler", "Scheduler"});
+    // The cell's result-store values, nested under "values".
+    std::vector<RunReport::Column> values;
+    if (mixes.empty())
+        values = {{"values.time_ns", "Time", Unit::Time},
+                  {"values.util", "Avg BW util", Unit::Percent}};
+    else
+        values = {{"values.makespan_ns", "Makespan", Unit::Time},
+                  {"values.fabric_util", "Fabric util", Unit::Percent},
+                  {"values.total_bytes", "Bytes", Unit::Bytes}};
+    cols.insert(cols.end(), values.begin(), values.end());
+    auto& table = report.addTable("cells", cols);
     std::size_t jp = 0;
     for (std::size_t cell : owned) {
         const Values* vals = nullptr;
@@ -331,65 +363,16 @@ runGrid(Session& s)
             vals = &rec->values;
         if (vals == nullptr)
             continue; // beyond the --max-cells cap
-        cellw.beginObject().key("key").value(keyOf(cell));
-        cellw.key("values").beginObject();
-        for (const auto& [n, v] : *vals)
-            cellw.key(n).value(v);
-        cellw.endObject().endObject();
-        std::vector<std::string> row = {topos[cellTopo(cell)].topo.name()};
+        std::vector<RunReport::Cell> row = {keyOf(cell),
+                                            topos[cellTopo(cell)].token};
         if (!mixes.empty())
             row.push_back(mixes[cellMix(cell)].token);
-        row.push_back(std::to_string(cellChunks(cell)));
+        row.push_back(cellChunks(cell));
         row.push_back(schedulerSetups()[cellSched(cell)].name);
-        row.push_back(fmtTime(valueOf(*vals, mixes.empty() ? "time_ns"
-                                                           : "makespan_ns")));
-        row.push_back(fmtPercent(
-            valueOf(*vals, mixes.empty() ? "util" : "fabric_util")));
-        t.addRow(row);
+        for (const RunReport::Column& c : values)
+            row.push_back(valueOf(*vals, c.key.substr(c.key.find('.') + 1)));
+        table.addRow(row);
     }
-    cellw.endArray();
-    std::printf("%s", t.render().c_str());
-    if (!shard.whole() || store != nullptr) {
-        std::printf("\nshard %d/%d: %zu of %zu cells owned, %zu resumed "
-                    "from store, %zu simulated%s",
-                    shard.index, shard.count, owned.size(), cells, resumed,
-                    pending.size(),
-                    interrupted ? " (interrupted by --max-cells)" : "");
-        if (store != nullptr)
-            std::printf("; store %s (%zu records%s)", store->path().c_str(),
-                        store->size(),
-                        store->recoveredTruncatedTail()
-                            ? ", truncated tail recovered"
-                            : "");
-        std::printf("\n");
-    }
-    std::printf("\n%.1f ms wall (%.1f cells/sec over %zu simulated cells); "
-                "plan cache %s\n",
-                wall_ms, static_cast<double>(pending.size()) / (wall_ms * 1e-3),
-                pending.size(), planCacheSummary(cache).c_str());
-
-    RunReport report("grid");
-    const std::pair<const char*, const std::string*> infos[] = {
-        {o.grid.empty() ? "topology" : "grid",
-         o.grid.empty() ? &o.topo : &o.grid},
-        {"sweep", &o.sweep},
-        {"jobs", &o.jobs},
-        {"shard", &o.shard}};
-    for (const auto& [key, value] : infos)
-        if (!value->empty())
-            report.setInfo(key, *value);
-    const std::tuple<const char*, const char*, std::size_t> counts[] = {
-        {"grid.cells.total", "cells", cells},
-        {"grid.cells.owned", "owned", owned.size()},
-        {"grid.cells.resumed", "resumed", resumed},
-        {"grid.cells.simulated", "simulated", pending.size()}};
-    for (const auto& [gauge, number, n] : counts) {
-        s.telem.metrics.gauge(gauge).set(static_cast<double>(n));
-        report.setNumber(number, static_cast<double>(n));
-    }
-    report.setNumber("wall_ms", wall_ms);
-    reportPlanCache(report, cache);
-    report.addSection("cells", cellw.str());
     s.finish(report);
     return 0;
 }
@@ -591,21 +574,16 @@ runServe(Session& s)
 
     const double mean_hit = n_hit > 0 ? hit_ms / double(n_hit) : 0.0;
     const double mean_miss = n_miss > 0 ? miss_ms / double(n_miss) : 0.0;
-    std::printf("serve summary: queries=%zu hits=%zu misses=%zu errors=%zu "
-                "mean_hit_ms=%.4f mean_miss_ms=%.3f",
-                n_q, n_hit, n_miss, n_err, mean_hit, mean_miss);
-    if (n_hit > 0 && n_miss > 0 && mean_hit > 0.0)
-        std::printf(" warm_speedup=%.1fx", mean_miss / mean_hit);
-    std::printf("\nplan cache: %s\n", planCacheSummary(cache).c_str());
-
     RunReport report("serve");
     report.setInfo("results_store", o.results);
-    report.setNumber("queries", static_cast<double>(n_q));
-    report.setNumber("hits", static_cast<double>(n_hit));
-    report.setNumber("misses", static_cast<double>(n_miss));
-    report.setNumber("errors", static_cast<double>(n_err));
+    report.setNumber("queries", static_cast<double>(n_q), Unit::Count);
+    report.setNumber("hits", static_cast<double>(n_hit), Unit::Count);
+    report.setNumber("misses", static_cast<double>(n_miss), Unit::Count);
+    report.setNumber("errors", static_cast<double>(n_err), Unit::Count);
     report.setNumber("mean_hit_ms", mean_hit);
     report.setNumber("mean_miss_ms", mean_miss);
+    if (n_hit > 0 && n_miss > 0 && mean_hit > 0.0)
+        report.setNumber("warm_speedup", mean_miss / mean_hit, Unit::Factor);
     reportPlanCache(report, cache);
     s.finish(report);
     return 0;

@@ -28,6 +28,7 @@ enum class Mode
     Merge,      ///< --merge: canonical union of result stores
     Serve,      ///< --serve: memoized what-if queries from stdin
     Grid,       ///< --grid/--sweep: topology x scheduler x chunks
+    MixGrid,    ///< --grid/--sweep with --jobs SPECS: x cluster mixes
     Priority,   ///< --priority: two-tenant contention demo
     Jobs,       ///< --jobs SPECS: multi-job cluster co-simulation
     Iterations, ///< --iterations: convergence run of one model
@@ -92,7 +93,8 @@ std::vector<std::string> flagNames();
 
 /**
  * Parse, run the selected mode, and map failures to exit codes:
- * usage error 2, ConfigError 1, retry exhaustion 2.
+ * usage error 2, ConfigError 1, retry exhaustion 2. --help prints
+ * the usage to stdout and exits 0.
  */
 int runCli(int argc, char** argv);
 

@@ -26,11 +26,12 @@ bit(Mode m)
 }
 
 constexpr unsigned kSingle = bit(Mode::Single), kGrid = bit(Mode::Grid),
-                   kServe = bit(Mode::Serve), kMerge = bit(Mode::Merge),
-                   kIters = bit(Mode::Iterations), kJobs = bit(Mode::Jobs),
-                   kPrio = bit(Mode::Priority);
+                   kMixGrid = bit(Mode::MixGrid), kServe = bit(Mode::Serve),
+                   kMerge = bit(Mode::Merge), kIters = bit(Mode::Iterations),
+                   kJobs = bit(Mode::Jobs), kPrio = bit(Mode::Priority);
+constexpr unsigned kGrids = kGrid | kMixGrid;
 constexpr unsigned kAll =
-    kSingle | kGrid | kServe | kMerge | kIters | kJobs | kPrio;
+    kSingle | kGrids | kServe | kMerge | kIters | kJobs | kPrio;
 
 struct Flag
 {
@@ -47,13 +48,13 @@ struct Flag
 // The one place each flag's modes are listed.
 const Flag kFlags[] = {
     {"--topo", Arg::Text, "NAME|SPEC",
-     kSingle | kGrid | kPrio | kIters | kJobs, &Options::topo,
+     kSingle | kGrids | kPrio | kIters | kJobs, &Options::topo,
      "preset, or spec \"SW:16:200x6:700,...\" [3D-SW_SW_SW_homo]"},
     {"--type", Arg::Text, "ar|rs|ag|a2a", kSingle | kGrid | kServe,
      &Options::type, "collective pattern [ar]"},
     {"--size", Arg::Positive, "BYTES", kSingle | kGrid | kServe | kPrio,
      &Options::size, "per-NPU collective size (priority: bulk) [1e9]"},
-    {"--chunks", Arg::Count, "N", kSingle | kGrid | kServe | kJobs,
+    {"--chunks", Arg::Count, "N", kSingle | kGrids | kServe | kJobs,
      &Options::chunks, "chunks per collective [64]"},
     {"--sched", Arg::Text, "base|fifo|scf", kSingle | kIters | kJobs,
      &Options::sched, "scheduler [scf]"},
@@ -61,15 +62,15 @@ const Flag kFlags[] = {
      "pre-simulate and enforce chunk-op orders"},
     {"--validate", Arg::Switch, "", kSingle, &Options::validate,
      "cross-check the fluid model against the per-NPU backend"},
-    {"--sweep", Arg::Text, "C1,C2,...", kGrid, &Options::sweep,
+    {"--sweep", Arg::Text, "C1,C2,...", kGrids, &Options::sweep,
      "chunk-count axis; alone, a grid over --topo"},
-    {"--grid", Arg::Text, "T1;T2;...", kGrid, &Options::grid,
+    {"--grid", Arg::Text, "T1;T2;...", kGrids, &Options::grid,
      "topology axis (presets and/or specs) x the three schedulers"},
-    {"--shard", Arg::Text, "I/N", kGrid, &Options::shard,
+    {"--shard", Arg::Text, "I/N", kGrids, &Options::shard,
      "own the cells whose canonical index is I mod N"},
-    {"--results", Arg::Text, "PATH", kGrid | kServe, &Options::results,
+    {"--results", Arg::Text, "PATH", kGrids | kServe, &Options::results,
      "append-only JSONL results store; recorded cells are skipped"},
-    {"--max-cells", Arg::Count, "N", kGrid, &Options::max_cells,
+    {"--max-cells", Arg::Count, "N", kGrids, &Options::max_cells,
      "stop after simulating N new cells"},
     {"--merge", Arg::Text, "OUT,IN1,...", kMerge, &Options::merge,
      "write the canonical merge of the IN stores to OUT"},
@@ -78,7 +79,7 @@ const Flag kFlags[] = {
      "topo=T model=M [iters=N]"},
     {"--priority", Arg::Weight, "W", kPrio, &Options::priority,
      "urgent All-Reduce chain (weight W) vs bulk All-Reduces"},
-    {"--iterations", Arg::Count, "N", kIters | kJobs | kGrid,
+    {"--iterations", Arg::Count, "N", kIters | kJobs | kMixGrid,
      &Options::iterations,
      "training iterations of --model, or of cluster jobs [3]"},
     {"--model", Arg::Text, "NAME", kIters, &Options::model,
@@ -89,10 +90,10 @@ const Flag kFlags[] = {
      "simulate every iteration (same results)"},
     {"--cycle-limit", Arg::Count, "K", kIters | kJobs, &Options::cycle_limit,
      "longest steady cycle to confirm, in rounds [hyper-period]"},
-    {"--jobs", Arg::Text, "N|SPECS", kGrid | kServe | kJobs, &Options::jobs,
-     "N: worker threads; SPECS: 'train:MODEL[,k=v];infer:SIZE[,k=v]' "
-     "cluster ('|' separates grid mixes)"},
-    {"--tier-ratio", Arg::Weight, "W", kJobs | kGrid, &Options::tier_ratio,
+    {"--jobs", Arg::Text, "N|SPECS", kGrids | kServe | kJobs, &Options::jobs,
+     "N: worker threads; SPECS: 'train:MODEL[,k=v];"
+     "infer:SIZE,period=NS[,k=v]' cluster ('|' separates grid mixes)"},
+    {"--tier-ratio", Arg::Weight, "W", kJobs | kMixGrid, &Options::tier_ratio,
      "cluster weight ladder tiered(W) [4]"},
     {"--offset-search", Arg::Switch, "", kJobs, &Options::offset_search,
      "search job phase offsets; run the best"},
@@ -121,6 +122,7 @@ const ModeInfo kModes[] = {
     {Mode::Merge, "merge", "--merge", runMerge},
     {Mode::Serve, "serve", "--serve", runServe},
     {Mode::Grid, "grid", "--grid/--sweep", runGrid},
+    {Mode::MixGrid, "mix-grid", "--grid/--sweep with --jobs SPECS", runGrid},
     {Mode::Priority, "priority", "--priority", runPriority},
     {Mode::Jobs, "jobs", "--jobs SPECS", runJobs},
     {Mode::Iterations, "iterations", "--iterations", runIterations},
@@ -207,7 +209,7 @@ parseArgs(const std::vector<std::string>& args)
     else if (has("--serve"))
         o.mode = Mode::Serve;
     else if (has("--grid") || has("--sweep"))
-        o.mode = Mode::Grid;
+        o.mode = o.jobs.empty() ? Mode::Grid : Mode::MixGrid;
     else if (has("--priority"))
         o.mode = Mode::Priority;
     else if (!o.jobs.empty())
@@ -220,19 +222,13 @@ parseArgs(const std::vector<std::string>& args)
                              modeInfo(o.mode).name + " mode (" +
                              modeInfo(o.mode).selector +
                              "); it applies to: " + modeList(f.modes));
-    // The grid reads these flags only in some of its shapes.
-    const bool mixes = !o.jobs.empty();
-    auto unread = [&](const char* flag, bool when, const char* shape) {
-        if (o.mode == Mode::Grid && when && has(flag))
-            throw UsageError(std::string(flag) +
-                             " does not apply to the grid mode " + shape);
-    };
-    unread("--topo", has("--grid"), "with --grid");
-    unread("--chunks", has("--sweep"), "with --sweep");
-    unread("--type", mixes, "with --jobs mixes");
-    unread("--size", mixes, "with --jobs mixes");
-    unread("--iterations", !mixes, "without --jobs mixes");
-    unread("--tier-ratio", !mixes, "without --jobs mixes");
+    // A grid's axis flag replaces the flag of its single value.
+    const bool grid = o.mode == Mode::Grid || o.mode == Mode::MixGrid;
+    for (const auto& [flag, axis] : {std::pair{"--topo", "--grid"},
+                                     std::pair{"--chunks", "--sweep"}})
+        if (grid && has(flag) && has(axis))
+            throw UsageError(std::string(flag) + " does not apply to the " +
+                             modeInfo(o.mode).name + " mode with " + axis);
 
     o.type = toLower(o.type);
     o.sched = toLower(o.sched);
@@ -258,10 +254,12 @@ usageText(const std::string& argv0)
     std::string out =
         "usage: " + argv0 +
         " [flags]\n\n"
-        "The mode is chosen by its flag: --merge, --serve, --grid/--sweep,\n"
-        "--priority, --jobs SPECS or --iterations; with none of them one\n"
-        "collective runs on --topo (single). A flag given outside its\n"
-        "modes (in brackets) is rejected.\n\n";
+        "The mode is chosen by its flag: --merge, --serve, --grid/--sweep\n"
+        "(mix-grid with --jobs SPECS), --priority, --jobs SPECS or\n"
+        "--iterations; with none of them one collective runs on --topo\n"
+        "(single). A flag given outside its modes (in brackets) is\n"
+        "rejected. Stdout is the run report's text form; --report writes\n"
+        "the same report as JSON. --help prints this text.\n\n";
     for (const Flag& f : kFlags) {
         std::string head = std::string("  ") + f.name;
         if (f.arg != Arg::Switch)

@@ -42,6 +42,7 @@ void
 Session::finish(stats::telemetry::RunReport& report,
                 bool with_telemetry) const
 {
+    std::fputs(report.toText().c_str(), stdout);
     if (!opt.trace.empty()) {
         trace.writeFile(opt.trace);
         std::printf("trace: %zu span(s), %zu instant(s) -> %s (open in "
@@ -140,6 +141,28 @@ nowMs()
         .count();
 }
 
+void
+reportTopology(stats::telemetry::RunReport& report, const Topology& topo,
+               const std::vector<double>& util)
+{
+    using stats::telemetry::Unit;
+    report.setInfo("topology", topo.name());
+    report.setNumber("npus", static_cast<double>(topo.totalNpus()),
+                     Unit::Count);
+    std::vector<stats::telemetry::RunReport::Column> cols = {
+        {"dim", "Dim"}, {"link", "Link"}};
+    if (!util.empty())
+        cols.push_back({"utilization", "BW util", Unit::Percent});
+    auto& t = report.addTable("dims", cols);
+    for (int d = 0; d < topo.numDims(); ++d) {
+        std::vector<stats::telemetry::RunReport::Cell> row = {
+            "dim" + std::to_string(d + 1), topo.dim(d).describe()};
+        if (!util.empty())
+            row.push_back(util[static_cast<std::size_t>(d)]);
+        t.addRow(row);
+    }
+}
+
 runtime::RuntimeConfig
 clusterConfig(runtime::RuntimeConfig cfg, double tier_ratio, int chunks)
 {
@@ -179,12 +202,13 @@ reportRetryExhausted(const Session& s, const runtime::FatalRetryReport& r)
                      stats::telemetry::describeFlightEvent(events[i]).c_str());
     stats::telemetry::RunReport report("fatal");
     report.setInfo("error", "retry budget exhausted");
-    report.setNumber("dim", r.dim);
-    report.setNumber("attempts", r.attempts);
-    report.setNumber("lost_bytes", r.lost_bytes);
-    report.setNumber("collective", r.op.collective_id);
-    report.setNumber("chunk", r.op.chunk_id);
-    report.setNumber("stage", r.op.stage_index);
+    using stats::telemetry::Unit;
+    report.setNumber("dim", r.dim, Unit::Count);
+    report.setNumber("attempts", r.attempts, Unit::Count);
+    report.setNumber("lost_bytes", r.lost_bytes, Unit::Bytes);
+    report.setNumber("collective", r.op.collective_id, Unit::Count);
+    report.setNumber("chunk", r.op.chunk_id, Unit::Count);
+    report.setNumber("stage", r.op.stage_index, Unit::Count);
     s.finish(report);
 }
 
@@ -193,13 +217,18 @@ reportRetryExhausted(const Session& s, const runtime::FatalRetryReport& r)
 int
 runCli(int argc, char** argv)
 {
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    const std::string usage =
+        usageText(std::filesystem::path(argv[0]).filename());
+    if (std::find(args.begin(), args.end(), "--help") != args.end()) {
+        std::fputs(usage.c_str(), stdout);
+        return 0;
+    }
     Options opt;
     try {
-        opt = parseArgs(std::vector<std::string>(argv + 1, argv + argc));
+        opt = parseArgs(args);
     } catch (const UsageError& e) {
-        std::fprintf(
-            stderr, "error: %s\n\n%s", e.what(),
-            usageText(std::filesystem::path(argv[0]).filename()).c_str());
+        std::fprintf(stderr, "error: %s\n\n%s", e.what(), usage.c_str());
         return 2;
     }
     Session s(opt);

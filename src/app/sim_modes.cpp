@@ -2,113 +2,82 @@
 // the --priority demo.
 
 #include <cmath>
-#include <cstdio>
 #include <functional>
 
 #include "app/app.hpp"
 #include "cluster/cluster.hpp"
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 #include "core/ideal_estimator.hpp"
 #include "core/themis_scheduler.hpp"
 #include "models/model_zoo.hpp"
 #include "npu/npu_machine.hpp"
-#include "stats/summary.hpp"
-#include "stats/telemetry/json_writer.hpp"
 #include "topology/provisioning.hpp"
 #include "workload/convergence.hpp"
 
 namespace themis::app {
 
-using stats::telemetry::JsonWriter;
 using stats::telemetry::RunReport;
+using stats::telemetry::Unit;
 
 namespace {
 
-std::vector<stats::FaultDimRow>
-faultRows(const Topology& topo, const runtime::CommRuntime& comm)
-{
-    const auto& ut = comm.utilization();
-    std::vector<stats::FaultDimRow> rows;
-    for (int d = 0; d < topo.numDims(); ++d) {
-        const auto i = static_cast<std::size_t>(d);
-        stats::FaultDimRow row{"dim" + std::to_string(d + 1) + " (" +
-                                   dimKindName(topo.dim(d).kind) + ")",
-                               ut.capacityEvents()[i], ut.flaps()[i],
-                               ut.downTime()[i], ut.retries()[i],
-                               ut.retryLostBytes()[i], ut.fatalRetries()[i]};
-        if (ut.retryBackoff(i).count() > 0) {
-            row.backoff_p99 = ut.retryBackoff(i).percentile(0.99);
-            row.backoff_max = ut.retryBackoff(i).max();
-        }
-        rows.push_back(row);
-    }
-    return rows;
-}
-
 /**
- * The per-dimension fault table (with --faults; @p scope says which
- * part of the run it covers) and the adaptation line (with --adapt).
+ * The "fault" table (with --faults; @p scope names the part of the run
+ * its counters cover) and the adaptation facts (with --adapt).
  */
 void
-printFaults(const Session& s, const Topology& topo,
-            const runtime::CommRuntime& comm, const char* scope)
-{
-    if (!s.opt.faults.empty())
-        std::printf("\nfault report%s (--faults \"%s\"):\n%s", scope,
-                    s.opt.faults.c_str(),
-                    stats::renderFaultTable(faultRows(topo, comm)).c_str());
-    if (s.opt.adapt)
-        std::printf("adaptation: %llu re-plan(s), capacity epoch %#llx\n",
-                    static_cast<unsigned long long>(comm.replanCount()),
-                    static_cast<unsigned long long>(
-                        comm.capacityFingerprint()));
-}
-
-/** printFaults for the run report: info, numbers, "fault" section. */
-void
 reportFaults(RunReport& report, const Session& s, const Topology& topo,
-             const runtime::CommRuntime& comm)
+             const runtime::CommRuntime& comm, const char* scope = nullptr)
 {
     if (s.opt.adapt) {
-        report.setNumber("replans", static_cast<double>(comm.replanCount()));
+        report.setNumber("replans", static_cast<double>(comm.replanCount()),
+                         Unit::Count);
         report.setInfo("capacity_fingerprint",
                        hex16(comm.capacityFingerprint()));
     }
     if (s.opt.faults.empty())
         return;
     report.setInfo("faults", s.opt.faults);
-    JsonWriter w;
-    w.beginArray();
-    for (const auto& r : faultRows(topo, comm))
-        w.beginObject()
-            .key("dim").value(r.name)
-            .key("capacity_events").value(r.capacity_events)
-            .key("flaps").value(r.flaps)
-            .key("down_time_ns").value(r.down_time)
-            .key("retries").value(r.retries)
-            .key("backoff_p99_ns").value(r.backoff_p99)
-            .key("backoff_max_ns").value(r.backoff_max)
-            .key("lost_bytes").value(r.lost_bytes)
-            .key("fatal_retries").value(r.fatal_retries)
-            .endObject();
-    w.endArray();
-    report.addSection("fault", w.str());
-}
-
-std::string
-runLabel(const Options& opt)
-{
-    return opt.exact ? "exactness" : (opt.no_replay ? "full" : "replay");
+    if (scope != nullptr)
+        report.setInfo("fault_scope", scope);
+    const auto& ut = comm.utilization();
+    auto& t = report.addTable(
+        "fault", {{"dim", "Dim"},
+                  {"capacity_events", "Capacity steps", Unit::Count},
+                  {"flaps", "Flaps", Unit::Count},
+                  {"down_time_ns", "Down time", Unit::Time},
+                  {"retries", "Retries", Unit::Count},
+                  {"backoff_p99_ns", "Backoff p99", Unit::Time},
+                  {"backoff_max_ns", "Backoff max", Unit::Time},
+                  {"lost_bytes", "Lost bytes", Unit::Bytes},
+                  {"fatal_retries", "Fatal", Unit::Count}});
+    for (int d = 0; d < topo.numDims(); ++d) {
+        const auto i = static_cast<std::size_t>(d);
+        const auto& backoff = ut.retryBackoff(i);
+        const bool backed_off = backoff.count() > 0;
+        t.addRow({"dim" + std::to_string(d + 1) + " (" +
+                      dimKindName(topo.dim(d).kind) + ")",
+                  ut.capacityEvents()[i], ut.flaps()[i],
+                  {ut.downTime()[i], ut.flaps()[i] > 0}, ut.retries()[i],
+                  {backed_off ? backoff.percentile(0.99) : -1.0, backed_off},
+                  {backed_off ? backoff.max() : -1.0, backed_off},
+                  {ut.retryLostBytes()[i], ut.retries()[i] > 0},
+                  {ut.fatalRetries()[i], ut.fatalRetries()[i] > 0}});
+    }
 }
 
 /**
- * Run @p run with the convergence options of the run flags, timed,
- * and print its one-row convergence table.
+ * Run @p run with the convergence options of the run flags, timed, and
+ * report its facts counted in @p unit: "iterations" of one model, or
+ * lockstep "rounds" of a job mix, where the steady state is a cycle.
+ * Under --exact, confirming no steady state means the exactness
+ * assertions never ran, so the run fails rather than passing
+ * vacuously.
  */
 template <typename Run>
-std::pair<workload::ConvergenceReport, double>
-converge(const Options& opt, int iterations, Run run)
+workload::ConvergenceReport
+converge(RunReport& report, const Options& opt, int iterations,
+         const std::string& unit, Run run)
 {
     workload::ConvergenceOptions copts;
     copts.iterations = iterations;
@@ -116,134 +85,116 @@ converge(const Options& opt, int iterations, Run run)
     copts.exactness_check = opt.exact;
     copts.cycle_limit = opt.cycle_limit;
     const double t0 = nowMs();
-    const auto r = run(copts);
+    const workload::ConvergenceReport r = run(copts);
     const double wall_ms = nowMs() - t0;
-    stats::ConvergenceRunRow row;
-    row.label = runLabel(opt);
-    row.iterations = r.iterations;
-    row.simulated = r.simulated_iterations;
-    row.replayed = r.replayed_iterations;
-    row.cycle_length = r.cycle_length;
-    row.total_time = r.total.total;
-    row.last_iteration = r.last.total;
-    row.utilization = r.utilization;
-    row.wall_ms = wall_ms;
-    std::printf("%s", stats::renderConvergenceTable({row}).c_str());
-    return {r, wall_ms};
-}
-
-/**
- * Where the steady state (counted in iterations) or, with @p cycle, the
- * steady cycle (in rounds) was confirmed. Under --exact, confirming
- * none means the exactness assertions never ran, so the run fails
- * rather than passing vacuously.
- */
-void
-printSteadyState(const workload::ConvergenceReport& r, const Options& opt,
-                 bool cycle)
-{
-    const char* what = cycle ? "cycle" : "state";
-    const char* unit = cycle ? "round" : "iteration";
-    if (r.steady_at >= 0)
-        std::printf("  steady %s at %s %d (fingerprint %016llx)%s\n", what,
-                    unit, r.steady_at,
-                    static_cast<unsigned long long>(r.steady_fingerprint),
-                    opt.exact ? ", replay prediction asserted bit-identical"
-                              : "");
-    else if (opt.exact)
+    const bool rounds = unit == "rounds";
+    if (r.steady_at < 0 && opt.exact)
         THEMIS_FATAL("--exact: no steady "
-                     << what << " was confirmed, so nothing was asserted; "
+                     << (rounds ? "cycle" : "state")
+                     << " was confirmed, so nothing was asserted; "
                      << "raise --iterations"
-                     << (cycle ? " (the mix needs ~2x its hyper-period of "
-                                 "rounds) or --cycle-limit"
-                               : ""));
-    else
-        std::printf("  steady %s not %s; every %s simulated\n", what,
-                    cycle ? "confirmed" : "reached", unit);
+                     << (rounds ? " (the mix needs ~2x its hyper-period of "
+                                  "rounds) or --cycle-limit"
+                                : ""));
+    report.setInfo("run", opt.exact ? "exactness"
+                          : opt.no_replay ? "full"
+                                          : "replay");
+    report.setNumber(unit, r.iterations, Unit::Count);
+    report.setNumber("simulated_" + unit, r.simulated_iterations, Unit::Count);
+    report.setNumber("replayed_" + unit, r.replayed_iterations, Unit::Count);
+    if (rounds) {
+        report.setNumber("hyper_period", r.hyper_period, Unit::Count);
+        report.setNumber("simulated_epochs", r.epochs_simulated, Unit::Count);
+        report.setNumber("replayed_epochs", r.epochs_replayed, Unit::Count);
+    }
+    report.setNumber("cycle_length", r.cycle_length, Unit::Count);
+    report.setNumber("steady_at", r.steady_at, Unit::Count);
+    if (r.steady_at >= 0)
+        report.setInfo("steady_fingerprint", hex16(r.steady_fingerprint));
+    if (opt.exact)
+        report.setInfo("exactness",
+                       "replay prediction asserted bit-identical");
+    if (!r.replay_refusal.empty())
+        report.setInfo("replay_refusal", r.replay_refusal);
+    report.setNumber("total_ns", r.total.total, Unit::Time);
+    report.setNumber("iteration_ns", r.last.total, Unit::Time);
+    report.setNumber("utilization", r.utilization, Unit::Percent);
+    report.setNumber("wall_ms", wall_ms);
+    return r;
 }
 
-/** Job table and "jobs" report section of @p jobs; @p lockstep rows
- *  carry the run's JCT and cycle units instead of wire totals. */
+/** The "jobs" table of @p jobs; @p lockstep rows carry the run's JCT
+ *  and cycle units instead of wire totals. */
 void
-jobReport(const std::vector<cluster::JobStats>& jobs, RunReport& report,
-          const workload::ConvergenceReport* lockstep = nullptr,
-          const std::vector<int>& cadences = {})
+reportJobs(RunReport& report, const std::vector<cluster::JobStats>& jobs,
+           const workload::ConvergenceReport* lockstep = nullptr,
+           const std::vector<int>& cadences = {})
 {
-    std::vector<stats::JobUsageRow> rows;
-    JsonWriter w;
-    w.beginArray();
+    auto& t = report.addTable(
+        "jobs", {{"job", ""}, {"name", "Job"}, {"kind", "Kind"},
+                 {"arrival_ns", "Arrival", Unit::Time}, {"finished_ns", ""},
+                 {"jct_ns", "JCT", Unit::Time}, {"units", "Units", Unit::Count},
+                 {"mean_unit_ns", "Mean unit", Unit::Time},
+                 {"unit_p99_ns", "p99 unit", Unit::Time},
+                 {"unit_max_ns", "Max unit", Unit::Time},
+                 {"exposed_share", "Exposed", Unit::Percent},
+                 {"deadline_hit_rate", "Deadline", Unit::Percent},
+                 {"progressed_bytes", "Bytes", Unit::Bytes},
+                 {"utilization", "BW share", Unit::Percent},
+                 {"cycle_units", "Cycle units", Unit::Count},
+                 {"iterations", ""}, {"mean_iteration_ns", ""},
+                 {"requests_issued", ""}, {"requests_completed", ""},
+                 {"mean_latency_ns", ""}, {"deadline_hits", ""},
+                 {"deadline_misses", ""}});
+    // Replayed lockstep rounds carry no per-job wire totals.
+    const bool wire = lockstep == nullptr;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const cluster::JobStats& j = jobs[i];
         const bool train = j.kind == cluster::JobKind::Training;
-        stats::JobUsageRow row;
-        row.name = j.name;
-        row.kind = cluster::jobKindName(j.kind);
-        row.arrival = j.arrival;
-        row.jct = j.jct();
-        row.units = train ? j.iterations : j.requests_completed;
-        row.mean_unit = train ? j.mean_iteration : j.mean_latency;
-        row.exposed_share = j.exposed_share;
-        row.deadline_hit_rate = j.deadline_hit_rate;
-        row.unit_p99 = j.unit_p99;
-        row.unit_max = j.unit_max;
-        row.progressed = j.progressed;
-        row.utilization = j.utilization;
-        if (lockstep != nullptr) {
-            // Replayed rounds carry no per-job wire totals.
-            row.jct = lockstep->total.total;
-            row.progressed = row.utilization = -1.0;
-            row.cycle_units = lockstep->cycle_length > 0
-                                  ? lockstep->cycle_length / cadences[i]
-                                  : -1;
-        }
-        rows.push_back(row);
-        w.beginObject()
-            .key("job").value(j.job)
-            .key("name").value(j.name)
-            .key("kind").value(cluster::jobKindName(j.kind))
-            .key("arrival_ns").value(j.arrival)
-            .key("finished_ns").value(j.finished)
-            .key("iterations").value(j.iterations)
-            .key("mean_iteration_ns").value(j.mean_iteration)
-            .key("exposed_share").value(j.exposed_share)
-            .key("requests_issued").value(j.requests_issued)
-            .key("requests_completed").value(j.requests_completed)
-            .key("mean_latency_ns").value(j.mean_latency)
-            .key("deadline_hits").value(j.deadline_hits)
-            .key("deadline_misses").value(j.deadline_misses)
-            .key("deadline_hit_rate").value(j.deadline_hit_rate)
-            .key("unit_p99_ns").value(j.unit_p99)
-            .key("unit_max_ns").value(j.unit_max)
-            .key("progressed_bytes").value(j.progressed)
-            .key("utilization").value(j.utilization)
-            .endObject();
+        const int units = train ? j.iterations : j.requests_completed;
+        const int cycle_units = !wire && lockstep->cycle_length > 0
+                                    ? lockstep->cycle_length / cadences[i]
+                                    : -1;
+        t.addRow({j.job, j.name, cluster::jobKindName(j.kind), j.arrival,
+                  j.finished, wire ? j.jct() : lockstep->total.total, units,
+                  {train ? j.mean_iteration : j.mean_latency, units > 0},
+                  {j.unit_p99, j.unit_p99 >= 0.0},
+                  {j.unit_max, j.unit_max >= 0.0},
+                  {j.exposed_share, j.exposed_share >= 0.0},
+                  {j.deadline_hit_rate, j.deadline_hit_rate >= 0.0},
+                  {j.progressed, wire}, {j.utilization, wire},
+                  {cycle_units, cycle_units >= 0}, j.iterations,
+                  j.mean_iteration, j.requests_issued, j.requests_completed,
+                  j.mean_latency, j.deadline_hits, j.deadline_misses});
     }
-    w.endArray();
-    std::printf("%s", stats::renderJobTable(rows).c_str());
-    report.addSection("jobs", w.str());
 }
 
-/** Class table of @p rows and "classes" section of @p classes. */
+/**
+ * The "classes" table of @p classes, with the contention slowdown of
+ * each class (<= 0: none) and, under a uniform policy, one mixed
+ * class.
+ */
 void
-classReport(const std::vector<runtime::CommRuntime::ClassReport>& classes,
-            const std::vector<stats::ClassUsageRow>& rows, RunReport& report)
+reportClasses(RunReport& report,
+              const std::vector<runtime::CommRuntime::ClassReport>& classes,
+              const std::vector<double>& slowdowns, bool uniform = false)
 {
-    JsonWriter w;
-    w.beginArray();
-    for (const auto& c : classes)
-        w.beginObject()
-            .key("tier").value(c.tier)
-            .key("name").value(priorityTierName(c.tier))
-            .key("weight").value(c.weight)
-            .key("issued").value(c.issued)
-            .key("completed").value(c.completed)
-            .key("mean_duration_ns").value(c.mean_duration)
-            .key("progressed_bytes").value(c.progressed)
-            .key("utilization").value(c.utilization)
-            .endObject();
-    w.endArray();
-    std::printf("%s", stats::renderClassTable(rows).c_str());
-    report.addSection("classes", w.str());
+    auto& t = report.addTable(
+        "classes", {{"tier", ""}, {"name", "Class"},
+                    {"weight", "Weight", Unit::Factor}, {"issued", ""},
+                    {"completed", "Collectives", Unit::Count},
+                    {"mean_duration_ns", "Mean time", Unit::Time},
+                    {"progressed_bytes", "Bytes", Unit::Bytes},
+                    {"utilization", "BW share", Unit::Percent},
+                    {"slowdown", "Slowdown", Unit::Factor}});
+    for (std::size_t i = 0; i < classes.size(); ++i) {
+        const auto& c = classes[i];
+        const double slowdown = i < slowdowns.size() ? slowdowns[i] : 0.0;
+        t.addRow({c.tier, uniform ? "all (uniform)" : priorityTierName(c.tier),
+                  c.weight, c.issued, c.completed,
+                  {c.mean_duration, c.completed > 0}, c.progressed,
+                  c.utilization, {slowdown, slowdown > 0.0}});
+    }
 }
 
 } // namespace
@@ -259,12 +210,6 @@ runSingle(Session& s)
     req.chunks = o.chunks;
     req.type = *parseCollectiveType(o.type);
 
-    std::printf("%s", topo.describe().c_str());
-    for (const auto& pair : classifyAllPairs(topo))
-        std::printf("  dim%d vs dim%d: %s (ratio %.2f)\n", pair.dim_k + 1,
-                    pair.dim_l + 1,
-                    provisionScenarioName(pair.scenario).c_str(),
-                    pair.ratio);
     sim::EventQueue queue;
     runtime::CommRuntime comm(queue, topo, cfg);
     const int id = comm.issue(req);
@@ -272,24 +217,29 @@ runSingle(Session& s)
     comm.finalizeStats();
 
     const TimeNs time = comm.record(id).duration();
-    const double util = comm.utilization().weightedUtilization();
     const auto model = LatencyModel::fromTopology(topo);
-    const TimeNs ideal = idealCollectiveTime(req.type, req.size, model);
-    std::printf("\n%s of %s in %d chunks under %s%s:\n",
-                collectiveTypeName(req.type).c_str(),
-                fmtBytes(req.size).c_str(), o.chunks,
-                o.sched == "base" ? "Baseline"
-                                  : ("Themis+" + o.sched).c_str(),
-                o.enforce ? " (enforced order)" : "");
-    std::printf("  time        : %s\n", fmtTime(time).c_str());
-    std::printf("  avg BW util : %s\n", fmtPercent(util).c_str());
-    const auto per_dim = comm.utilization().perDimUtilization();
-    for (std::size_t d = 0; d < per_dim.size(); ++d)
-        std::printf("  dim%zu util  : %s\n", d + 1,
-                    fmtPercent(per_dim[d]).c_str());
-    std::printf("  ideal       : %s (size / total BW)\n",
-                fmtTime(ideal).c_str());
-    printFaults(s, topo, comm, "");
+    RunReport report("single");
+    reportTopology(report, topo, comm.utilization().perDimUtilization());
+    report.setInfo("collective", collectiveTypeName(req.type));
+    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
+    report.setInfo("sched", schedulerSetups()[*schedulerIndex(o.sched)].name);
+    if (o.enforce)
+        report.setInfo("order", "enforced");
+    report.setNumber("size_bytes", req.size, Unit::Bytes);
+    report.setNumber("chunks", o.chunks, Unit::Count);
+    report.setNumber("time_ns", time, Unit::Time);
+    report.setNumber("utilization",
+                     comm.utilization().weightedUtilization(), Unit::Percent);
+    report.setNumber("ideal_ns", idealCollectiveTime(req.type, req.size, model),
+                     Unit::Time);
+    auto& pairs = report.addTable("provisioning",
+                                  {{"pair", "Dims"},
+                                   {"scenario", "Provisioning"},
+                                   {"ratio", "Ratio"}});
+    for (const auto& pair : classifyAllPairs(topo))
+        pairs.addRow({"dim" + std::to_string(pair.dim_k + 1) + " vs dim" +
+                          std::to_string(pair.dim_l + 1),
+                      provisionScenarioName(pair.scenario), pair.ratio});
     if (o.validate) {
         // Re-simulate with every NPU modelled individually; on a
         // symmetric platform the two backends must agree.
@@ -301,20 +251,12 @@ runSingle(Session& s)
         npu_cfg.policy = cfg.intra_policy;
         const auto per_npu =
             npu::simulatePerNpu(topo, req.type, schedules, npu_cfg);
-        std::printf("  per-NPU     : %s on %ld NPUs (%s; error %.4f%%)\n",
-                    fmtTime(per_npu.makespan).c_str(), topo.totalNpus(),
-                    per_npu.completed ? "completed" : "DEADLOCK",
-                    100.0 * std::abs(per_npu.makespan - time) / time);
+        report.setInfo("per_npu", per_npu.completed ? "completed" : "DEADLOCK");
+        report.setNumber("per_npu_ns", per_npu.makespan, Unit::Time);
+        report.setNumber("per_npu_error",
+                         std::abs(per_npu.makespan - time) / time,
+                         Unit::Percent);
     }
-    RunReport report("single");
-    report.setInfo("topology", topo.name());
-    report.setInfo("collective", collectiveTypeName(req.type));
-    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
-    report.setNumber("size_bytes", req.size);
-    report.setNumber("chunks", o.chunks);
-    report.setNumber("time_ns", time);
-    report.setNumber("utilization", util);
-    report.setNumber("ideal_ns", ideal);
     reportFaults(report, s, topo, comm);
     s.finish(report);
     return 0;
@@ -331,49 +273,29 @@ runIterations(Session& s)
     sim::EventQueue queue;
     runtime::CommRuntime comm(queue, topo, cfg);
     workload::TrainingLoop loop(comm, models::byName(o.model));
-    std::printf("%s", topo.describe().c_str());
-    std::printf("\n%s x %d training iterations under %s%s:\n\n",
-                o.model.c_str(), o.iterations,
-                schedulerKindName(cfg.scheduler).c_str(),
-                o.exact ? " (exactness-check mode)" : "");
-    const auto [r, wall_ms] = converge(o, o.iterations, [&](auto& copts) {
-        return workload::runConverged(comm, loop, copts);
-    });
-    std::printf("\n  per-iteration decomposition (steady): fwd %s, bwd %s, "
-                "exposed MP %s, exposed DP %s\n",
-                fmtTime(r.last.fwd_compute).c_str(),
-                fmtTime(r.last.bwd_compute).c_str(),
-                fmtTime(r.last.exposed_mp).c_str(),
-                fmtTime(r.last.exposed_dp).c_str());
-    printSteadyState(r, o, false);
-    std::printf("  %ld collectives, %llu chunk ops, plan cache %zu plans\n",
-                r.collectives, static_cast<unsigned long long>(r.ops),
-                cache.planCount());
+    RunReport report("iterations");
+    reportTopology(report, topo);
+    report.setInfo("model", o.model);
+    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
+    const auto r =
+        converge(report, o, o.iterations, "iterations", [&](auto& copts) {
+            return workload::runConverged(comm, loop, copts);
+        });
+    // The steady iteration's decomposition (Fig 12).
+    report.setNumber("fwd_ns", r.last.fwd_compute, Unit::Time);
+    report.setNumber("bwd_ns", r.last.bwd_compute, Unit::Time);
+    report.setNumber("exposed_mp_ns", r.last.exposed_mp, Unit::Time);
+    report.setNumber("exposed_dp_ns", r.last.exposed_dp, Unit::Time);
+    report.setNumber("collectives", static_cast<double>(r.collectives),
+                     Unit::Count);
+    report.setNumber("chunk_ops", static_cast<double>(r.ops), Unit::Count);
+    report.setNumber("plan_cache_plans",
+                     static_cast<double>(cache.planCount()), Unit::Count);
     // Fault counters are per-iteration-epoch state (steady-state
     // detection must see fault activity): the table covers the last
     // simulated iteration.
-    printFaults(s, topo, comm, ", last simulated iteration");
+    reportFaults(report, s, topo, comm, "last simulated iteration");
     comm.publishTelemetry();
-
-    RunReport report("iterations");
-    report.setInfo("topology", topo.name());
-    report.setInfo("model", o.model);
-    report.setInfo("scheduler", schedulerKindName(cfg.scheduler));
-    report.setInfo("run", runLabel(o));
-    report.setNumber("iterations", r.iterations);
-    report.setNumber("simulated_iterations", r.simulated_iterations);
-    report.setNumber("replayed_iterations", r.replayed_iterations);
-    report.setNumber("cycle_length", r.cycle_length);
-    report.setNumber("steady_at", r.steady_at);
-    report.setNumber("total_ns", r.total.total);
-    report.setNumber("iteration_ns", r.last.total);
-    report.setNumber("utilization", r.utilization);
-    report.setNumber("collectives", static_cast<double>(r.collectives));
-    report.setNumber("chunk_ops", static_cast<double>(r.ops));
-    report.setNumber("wall_ms", wall_ms);
-    report.setNumber("plan_cache_plans",
-                     static_cast<double>(cache.planCount()));
-    reportFaults(report, s, topo, comm);
     s.finish(report);
     return 0;
 }
@@ -389,10 +311,12 @@ runJobs(Session& s)
         clusterConfig(s.runtimeConfig(topo), o.tier_ratio, o.chunks);
     PlanCache cache;
     ccfg.plan_cache = &cache;
-    std::printf("%s", topo.describe().c_str());
-    std::printf("\n%zu-job cluster co-simulation (%s, policy %s):\n\n",
-                specs.size(), schedulerKindName(ccfg.scheduler).c_str(),
-                ccfg.priority.describe().c_str());
+    RunReport report("jobs");
+    reportTopology(report, topo);
+    report.setInfo("scheduler", schedulerKindName(ccfg.scheduler));
+    report.setInfo("policy", ccfg.priority.describe());
+    report.setNumber("job_count", static_cast<double>(specs.size()),
+                     Unit::Count);
 
     cluster::JobScheduler sched(specs);
     // --exact/--no-replay/--cycle-limit run whole lockstep rounds of
@@ -408,16 +332,16 @@ runJobs(Session& s)
         search_cfg.telemetry = nullptr;
         const auto res =
             cluster::searchPhaseOffsets(topo, search_cfg, specs, sopts);
-        stats::TextTable t({"Phase fraction", "Aggregate iter time"});
+        auto& t = report.addTable(
+            "offsets", {{"phase", "Phase fraction"},
+                        {"metric_ns", "Aggregate iter time", Unit::Time}});
         for (std::size_t i = 0; i < res.candidates.size(); ++i)
-            t.addRow({fmtDouble(double(i) / res.candidates.size(), 3),
-                      fmtTime(res.candidates[i].metric)});
-        std::printf("%s", t.render().c_str());
-        std::printf("\n  offset search: zero-offset %s -> best %s (base "
-                    "period %s)\n\n",
-                    fmtTime(res.zero_metric).c_str(),
-                    fmtTime(res.best.metric).c_str(),
-                    fmtTime(res.base_period).c_str());
+            t.addRow({double(i) / double(res.candidates.size()),
+                      res.candidates[i].metric});
+        report.setNumber("offset_zero_ns", res.zero_metric, Unit::Time);
+        report.setNumber("offset_best_ns", res.best.metric, Unit::Time);
+        report.setNumber("offset_base_period_ns", res.base_period,
+                         Unit::Time);
         // Lockstep rounds restart from quiescence, so there the offsets
         // apply as per-round phase delays, not as arrival shifts.
         if (lockstep)
@@ -433,65 +357,29 @@ runJobs(Session& s)
     const auto elig = sched.replayEligibility();
     sim::EventQueue queue;
     cluster::Cluster cl(queue, topo, ccfg, std::move(sched));
-    RunReport report("jobs");
-    report.setInfo("topology", topo.name());
-    report.setInfo("scheduler", schedulerKindName(ccfg.scheduler));
-    report.setInfo("policy", ccfg.priority.describe());
     if (lockstep) {
-        const auto [r, wall_ms] =
-            converge(o, clusterIterations(o), [&](auto& copts) {
-                return cl.runConverged(copts, offsets);
-            });
-        std::printf("\n");
-        jobReport(cl.lockstepJobStats(r.iterations), report, &r,
-                  plan.cadences);
-        std::printf("\n  cycle replay  : hyper-period %d round(s), cycle %s, "
-                    "%d simulated + %d replayed of %d rounds\n",
-                    r.hyper_period,
-                    r.cycle_length > 0
-                        ? std::to_string(r.cycle_length).c_str()
-                        : "-",
-                    r.epochs_simulated, r.epochs_replayed, r.iterations);
-        printSteadyState(r, o, true);
-        if (!r.replay_refusal.empty())
-            std::printf("  replay refused: %s\n", r.replay_refusal.c_str());
-        printFaults(s, topo, cl.runtime(), ", last simulated round");
+        const auto r = converge(report, o, clusterIterations(o), "rounds",
+                                [&](auto& copts) {
+                                    return cl.runConverged(copts, offsets);
+                                });
+        reportJobs(report, cl.lockstepJobStats(r.iterations), &r,
+                   plan.cadences);
+        reportFaults(report, s, topo, cl.runtime(), "last simulated round");
         cl.runtime().publishTelemetry();
-        report.setInfo("run", runLabel(o));
-        report.setNumber("rounds", r.iterations);
-        report.setNumber("simulated_rounds", r.simulated_iterations);
-        report.setNumber("replayed_rounds", r.replayed_iterations);
-        report.setNumber("cycle_length", r.cycle_length);
-        report.setNumber("hyper_period", r.hyper_period);
-        report.setNumber("total_ns", r.total.total);
-        report.setNumber("utilization", r.utilization);
-        report.setNumber("wall_ms", wall_ms);
     } else {
         const auto rep = cl.run();
-        jobReport(rep.jobs, report);
-        std::vector<stats::ClassUsageRow> rows;
-        for (const auto& c : rep.classes)
-            if (c.issued > 0 || c.progressed > 0.0)
-                rows.push_back({priorityTierName(c.tier), c.weight,
-                                c.completed, c.mean_duration, c.progressed,
-                                c.utilization});
-        std::printf("\n");
-        classReport(rep.classes, rows, report);
-        std::printf("\n  makespan      : %s\n", fmtTime(rep.makespan).c_str());
-        std::printf("  fabric util   : %s\n",
-                    fmtPercent(rep.fabric_utilization).c_str());
-        std::printf("  bytes moved   : %s\n",
-                    fmtBytes(rep.total_bytes).c_str());
-        std::printf("  replay        : %s\n",
-                    elig.eligible ? "eligible (lockstep training mix)"
-                                  : elig.reason.c_str());
-        printFaults(s, topo, cl.runtime(), "");
         report.setInfo("run", "free-running");
-        report.setNumber("makespan_ns", rep.makespan);
-        report.setNumber("fabric_utilization", rep.fabric_utilization);
-        report.setNumber("total_bytes", rep.total_bytes);
+        report.setNumber("makespan_ns", rep.makespan, Unit::Time);
+        report.setNumber("fabric_utilization", rep.fabric_utilization,
+                         Unit::Percent);
+        report.setNumber("total_bytes", rep.total_bytes, Unit::Bytes);
+        report.setInfo("replay", elig.eligible
+                                     ? "eligible (lockstep training mix)"
+                                     : elig.reason);
+        reportJobs(report, rep.jobs);
+        reportClasses(report, rep.classes, {});
+        reportFaults(report, s, topo, cl.runtime());
     }
-    reportFaults(report, s, topo, cl.runtime());
     s.finish(report);
     return 0;
 }
@@ -550,46 +438,33 @@ runPriority(Session& s)
     const TenantRun solo_hi = run(chain, 0), solo_lo = run(0, bulk_count),
                     both = run(chain, bulk_count);
 
-    std::printf("%s", topo.describe().c_str());
-    std::printf("\npriority contention demo (%s, policy %s):\n"
-                "  urgent tenant: %d x %s AR chain; bulk tenant: %d x %s "
-                "AR\n\n",
-                schedulerKindName(pcfg.scheduler).c_str(),
-                pcfg.priority.describe().c_str(), chain,
-                fmtBytes(hi_size).c_str(), bulk_count,
-                fmtBytes(o.size).c_str());
     RunReport report("priority");
+    reportTopology(report, topo);
+    report.setInfo("scheduler", schedulerKindName(pcfg.scheduler));
+    report.setInfo("policy", pcfg.priority.describe());
+    report.setNumber("urgent_chain", chain, Unit::Count);
+    report.setNumber("urgent_size_bytes", hi_size, Unit::Bytes);
+    report.setNumber("bulk_count", bulk_count, Unit::Count);
+    report.setNumber("bulk_size_bytes", o.size, Unit::Bytes);
+    report.setNumber("contended_makespan_ns", both.makespan, Unit::Time);
+    report.setNumber("urgent_mean_ns", both.hi_mean, Unit::Time);
+    report.setNumber("urgent_solo_ns", solo_hi.hi_mean, Unit::Time);
+    report.setNumber("bulk_mean_ns", both.lo_mean, Unit::Time);
+    report.setNumber("bulk_solo_ns", solo_lo.lo_mean, Unit::Time);
+    // Under the uniform policy (W = 1) class 0 mixes both tenants, so a
+    // slowdown against one tenant's solo run is meaningless (the
+    // per-tenant means above still compare).
     const bool uniform = pcfg.priority.isUniform();
-    std::vector<stats::ClassUsageRow> rows;
+    std::vector<double> slowdowns;
     for (const auto& c : both.classes) {
-        stats::ClassUsageRow row{
-            uniform ? "all (uniform)" : priorityTierName(c.tier), c.weight,
-            c.completed, c.mean_duration, c.progressed, c.utilization};
-        // Under the uniform policy (W = 1) class 0 mixes both tenants,
-        // so a slowdown against one tenant's solo run is meaningless
-        // (the per-tenant means print below).
         const TimeNs solo =
             c.tier == static_cast<int>(PriorityTier::Urgent) ? solo_hi.hi_mean
             : c.tier == static_cast<int>(PriorityTier::Bulk) ? solo_lo.lo_mean
                                                              : 0.0;
-        if (!uniform && solo > 0.0)
-            row.slowdown = c.mean_duration / solo;
-        rows.push_back(row);
+        slowdowns.push_back(!uniform && solo > 0.0 ? c.mean_duration / solo
+                                                   : 0.0);
     }
-    classReport(both.classes, rows, report);
-    std::printf("\n  contended makespan : %s\n",
-                fmtTime(both.makespan).c_str());
-    std::printf("  urgent mean  %s (solo %s)\n", fmtTime(both.hi_mean).c_str(),
-                fmtTime(solo_hi.hi_mean).c_str());
-    std::printf("  bulk mean    %s (solo %s)\n", fmtTime(both.lo_mean).c_str(),
-                fmtTime(solo_lo.lo_mean).c_str());
-    report.setInfo("topology", topo.name());
-    report.setInfo("policy", pcfg.priority.describe());
-    report.setNumber("contended_makespan_ns", both.makespan);
-    report.setNumber("urgent_mean_ns", both.hi_mean);
-    report.setNumber("urgent_solo_ns", solo_hi.hi_mean);
-    report.setNumber("bulk_mean_ns", both.lo_mean);
-    report.setNumber("bulk_solo_ns", solo_lo.lo_mean);
+    reportClasses(report, both.classes, slowdowns, uniform);
     s.finish(report);
     return 0;
 }

@@ -48,10 +48,11 @@ parseJobSpecs(const std::string& arg, int default_iterations)
             return static_cast<int>(n);
         };
         JobSpec spec;
+        bool has_period = false;
         if (kind == "train")
             spec = JobSpec::training(
                 models::byName(head.substr(colon + 1)), default_iterations);
-        else if (infer) // validate() wants the period set below
+        else if (infer) // the required period= field sets the period
             spec = JobSpec::periodicInference(
                 number("request size", head.substr(colon + 1)), 0.0);
         else
@@ -80,6 +81,7 @@ parseJobSpecs(const std::string& arg, int default_iterations)
                 spec.iterations = count(key, val);
             } else if (key == "period" && infer) {
                 spec.period = number(key, val);
+                has_period = true;
             } else if (key == "deadline" && infer) {
                 spec.deadline = number(key, val);
             } else if (key == "requests" && infer) {
@@ -90,6 +92,10 @@ parseJobSpecs(const std::string& arg, int default_iterations)
                                           << " job");
             }
         }
+        if (infer && !has_period)
+            THEMIS_FATAL("job entry " << entry << " ('" << head
+                                      << "'): period= is required "
+                                         "(infer:SIZE,period=NS[,k=v])");
         spec.validate();
         specs.push_back(std::move(spec));
     }

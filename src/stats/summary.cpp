@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace themis::stats {
 
@@ -52,86 +51,6 @@ TextTable::render() const
     for (const auto& row : rows_)
         emit(oss, row);
     return oss.str();
-}
-
-std::string
-renderClassTable(const std::vector<ClassUsageRow>& rows)
-{
-    TextTable t({"Class", "Weight", "Collectives", "Mean time",
-                 "Bytes", "BW share", "Slowdown"});
-    for (const auto& r : rows) {
-        t.addRow({r.name, "x" + fmtDouble(r.weight, 1),
-                  std::to_string(r.collectives),
-                  r.collectives > 0 ? fmtTime(r.mean_duration) : "-",
-                  fmtBytes(r.progressed), fmtPercent(r.utilization),
-                  r.slowdown > 0.0 ? fmtDouble(r.slowdown, 2) + "x"
-                                   : "-"});
-    }
-    return t.render();
-}
-
-std::string
-renderJobTable(const std::vector<JobUsageRow>& rows)
-{
-    TextTable t({"Job", "Kind", "Arrival", "JCT", "Units",
-                 "Mean unit", "p99 unit", "Max unit", "Exposed",
-                 "Deadline", "Bytes", "BW share", "Cycle units"});
-    for (const auto& r : rows) {
-        t.addRow({r.name, r.kind, fmtTime(r.arrival), fmtTime(r.jct),
-                  std::to_string(r.units),
-                  r.units > 0 ? fmtTime(r.mean_unit) : "-",
-                  r.unit_p99 >= 0.0 ? fmtTime(r.unit_p99) : "-",
-                  r.unit_max >= 0.0 ? fmtTime(r.unit_max) : "-",
-                  r.exposed_share >= 0.0 ? fmtPercent(r.exposed_share)
-                                         : "-",
-                  r.deadline_hit_rate >= 0.0
-                      ? fmtPercent(r.deadline_hit_rate)
-                      : "-",
-                  r.progressed >= 0.0 ? fmtBytes(r.progressed) : "-",
-                  r.utilization >= 0.0 ? fmtPercent(r.utilization)
-                                       : "-",
-                  r.cycle_units >= 0 ? std::to_string(r.cycle_units)
-                                     : "-"});
-    }
-    return t.render();
-}
-
-std::string
-renderConvergenceTable(const std::vector<ConvergenceRunRow>& rows)
-{
-    TextTable t({"Mode", "Iters", "Simulated", "Replayed", "Cycle",
-                 "Sim time", "Iter time", "BW util", "Wall"});
-    for (const auto& r : rows) {
-        t.addRow({r.label, std::to_string(r.iterations),
-                  std::to_string(r.simulated),
-                  std::to_string(r.replayed),
-                  r.cycle_length > 0 ? std::to_string(r.cycle_length)
-                                     : "-",
-                  fmtTime(r.total_time), fmtTime(r.last_iteration),
-                  fmtPercent(r.utilization),
-                  fmtDouble(r.wall_ms, 1) + " ms"});
-    }
-    return t.render();
-}
-
-std::string
-renderFaultTable(const std::vector<FaultDimRow>& rows)
-{
-    TextTable t({"Dim", "Capacity steps", "Flaps", "Down time",
-                 "Retries", "Backoff p99", "Backoff max",
-                 "Lost bytes", "Fatal"});
-    for (const auto& r : rows) {
-        t.addRow({r.name, std::to_string(r.capacity_events),
-                  std::to_string(r.flaps),
-                  r.flaps > 0 ? fmtTime(r.down_time) : "-",
-                  std::to_string(r.retries),
-                  r.backoff_p99 >= 0.0 ? fmtTime(r.backoff_p99) : "-",
-                  r.backoff_max >= 0.0 ? fmtTime(r.backoff_max) : "-",
-                  r.retries > 0 ? fmtBytes(r.lost_bytes) : "-",
-                  r.fatal_retries > 0 ? std::to_string(r.fatal_retries)
-                                      : "-"});
-    }
-    return t.render();
 }
 
 } // namespace themis::stats

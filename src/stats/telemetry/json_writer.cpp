@@ -133,14 +133,6 @@ JsonWriter::value(bool v)
     return *this;
 }
 
-JsonWriter&
-JsonWriter::raw(const std::string& json)
-{
-    beforeValue();
-    out_ += json;
-    return *this;
-}
-
 std::string
 JsonWriter::str() const
 {

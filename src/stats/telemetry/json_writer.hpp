@@ -41,9 +41,6 @@ public:
     JsonWriter& value(int v);
     JsonWriter& value(bool v);
 
-    /** Splice pre-rendered JSON in value position, verbatim. */
-    JsonWriter& raw(const std::string& json);
-
     /** Finished document; asserts every container was closed. */
     std::string str() const;
 

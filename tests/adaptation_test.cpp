@@ -20,7 +20,6 @@
 #include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "sim/fault_timeline.hpp"
-#include "stats/summary.hpp"
 #include "topology/presets.hpp"
 #include "workload/convergence.hpp"
 #include "workload/training_loop.hpp"
@@ -339,16 +338,6 @@ TEST(RetryExhaustion, SurfacesStructuredFatalReport)
     EXPECT_EQ(comm.fatalRetry()->dim, 0);
     EXPECT_GE(comm.utilization().fatalRetries()[0], 1u);
     EXPECT_EQ(comm.utilization().fatalRetries()[1], 0u);
-}
-
-TEST(RetryExhaustion, FatalColumnRendersInFaultTable)
-{
-    std::vector<stats::FaultDimRow> rows;
-    rows.push_back({"dim0 (SW)", 2, 3, 1.5e4, 9, 2.0e6, 4});
-    rows.push_back({"dim1 (SW)", 0, 0, 0.0, 0, 0.0, 0});
-    const std::string out = stats::renderFaultTable(rows);
-    EXPECT_NE(out.find("Fatal"), std::string::npos);
-    EXPECT_NE(out.find('4'), std::string::npos);
 }
 
 } // namespace

@@ -103,10 +103,13 @@ TEST(CliParse, EachModeFlagSelectsItsMode)
     // Flags that also parameterize another mode do not steal it.
     EXPECT_EQ(parseArgs({"--iterations", "3", "--jobs", "train:DLRM"}).mode,
               Mode::Jobs);
+    // Cluster mixes turn a grid into the mix grid.
     EXPECT_EQ(parseArgs({"--grid", "2D-SW_SW", "--iterations", "2",
                          "--jobs", "train:DLRM|train:GNMT"})
                   .mode,
-              Mode::Grid);
+              Mode::MixGrid);
+    EXPECT_EQ(parseArgs({"--sweep", "4", "--jobs", "train:DLRM"}).mode,
+              Mode::MixGrid);
 }
 
 TEST(CliParse, FlagsOutsideTheirModesAreRejected)
@@ -131,21 +134,29 @@ TEST(CliParse, FlagsOutsideTheirModesAreRejected)
     EXPECT_TRUE(contains(usageError({"--priority", "4", "--jobs",
                                      "train:DLRM"}),
                          "--jobs does not apply to the priority mode"));
-    // Grid flags its current shape does not read.
+    // An axis flag replaces the flag of its single value.
     EXPECT_TRUE(contains(usageError({"--grid", "2D-SW_SW", "--topo", "4D"}),
                          "--topo does not apply to the grid mode with --grid"));
     EXPECT_TRUE(contains(usageError({"--sweep", "8", "--chunks", "4"}),
                          "--chunks does not apply to the grid mode with "
                          "--sweep"));
+    EXPECT_TRUE(contains(usageError({"--sweep", "8", "--jobs", "train:DLRM",
+                                     "--chunks", "4"}),
+                         "--chunks does not apply to the mix-grid mode with "
+                         "--sweep"));
+    // Collective flags a mix grid does not read, cluster flags a
+    // collective grid does not read: the flag table alone says so.
     for (const char* flag : {"--type", "--size"})
         EXPECT_TRUE(contains(usageError({"--grid", "2D-SW_SW", "--jobs",
                                          "train:DLRM", flag, "1"}),
-                             std::string(flag) + " does not apply to the grid "
-                                                 "mode with --jobs mixes"));
+                             std::string(flag) +
+                                 " does not apply to the mix-grid mode "
+                                 "(--grid/--sweep with --jobs SPECS)"));
     for (const char* flag : {"--iterations", "--tier-ratio"})
         EXPECT_TRUE(contains(usageError({"--sweep", "8", flag, "2"}),
-                             std::string(flag) + " does not apply to the grid "
-                                                 "mode without --jobs mixes"));
+                             std::string(flag) +
+                                 " does not apply to the grid mode "
+                                 "(--grid/--sweep); it applies to:"));
     // Two mode flags never combine.
     EXPECT_TRUE(contains(usageError({"--serve", "--merge", "o,i"}),
                          "--serve does not apply to the merge mode"));
@@ -188,6 +199,19 @@ TEST(CliUsage, ListsEveryTableFlag)
         EXPECT_FALSE(contains(usageError({flag}), "unknown flag")) << flag;
     }
     EXPECT_TRUE(contains(usage, "--validate"));
+    EXPECT_TRUE(contains(usage, "infer:SIZE,period=NS"));
+}
+
+TEST(CliUsage, HelpPrintsTheUsageAndExitsZero)
+{
+    // --help wins over any other argument, even a bad one.
+    char prog[] = "themis_cli", bogus[] = "--bogus", help[] = "--help";
+    char* argv[] = {prog, bogus, help};
+    testing::internal::CaptureStdout();
+    const int code = app::runCli(3, argv);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(),
+              app::usageText("themis_cli"));
+    EXPECT_EQ(code, 0);
 }
 
 } // namespace

@@ -718,6 +718,31 @@ TEST(Cluster, JobSpecValidation)
     EXPECT_THROW(JobScheduler({bad_period}), ConfigError);
 }
 
+TEST(Cluster, InferSpecWithoutPeriodSaysPeriodIsRequired)
+{
+    std::string msg;
+    try {
+        (void)cluster::parseJobSpecs("train:DLRM;infer:3.2e7", 4);
+    } catch (const ConfigError& e) {
+        msg = e.what();
+    }
+    EXPECT_EQ(msg, "job entry 2 ('infer:3.2e7'): period= is required "
+                   "(infer:SIZE,period=NS[,k=v])");
+    // A period given but not positive still names its value.
+    try {
+        (void)cluster::parseJobSpecs("infer:3.2e7,period=0", 4);
+        msg.clear();
+    } catch (const ConfigError& e) {
+        msg = e.what();
+    }
+    EXPECT_NE(msg.find("period must be positive, got 0"), std::string::npos)
+        << msg;
+    EXPECT_EQ(cluster::parseJobSpecs("infer:3.2e7,period=1e6", 4)
+                  .front()
+                  .period,
+              1.0e6);
+}
+
 TEST(Cluster, StaggeredArrivalsRunAndFinishInOrderOfWork)
 {
     const Topology topo = presets::byName("2D-SW_SW");

@@ -20,7 +20,6 @@
 #include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "sim/fault_timeline.hpp"
-#include "stats/summary.hpp"
 #include "topology/presets.hpp"
 #include "workload/convergence.hpp"
 #include "workload/training_loop.hpp"
@@ -300,22 +299,6 @@ TEST(FaultRuntime, ConfigRejectsBadWiring)
                  ConfigError);
     EXPECT_THROW(engine(false, weighted, true, false), ConfigError);
     EXPECT_THROW(engine(false, weighted, false, true), ConfigError);
-}
-
-// ------------------------------------------------ fault report table
-
-TEST(FaultStats, RenderFaultTableFormatsRows)
-{
-    std::vector<stats::FaultDimRow> rows;
-    rows.push_back({"dim0 (SW)", 4, 2, 5.0e4, 7, 1.5e6});
-    rows.push_back({"dim1 (SW)", 0, 0, 0.0, 0, 0.0});
-    const std::string out = stats::renderFaultTable(rows);
-    EXPECT_NE(out.find("Dim"), std::string::npos);
-    EXPECT_NE(out.find("Retries"), std::string::npos);
-    EXPECT_NE(out.find("dim0 (SW)"), std::string::npos);
-    EXPECT_NE(out.find("7"), std::string::npos);
-    // Idle dimensions render "-" for time/bytes, not 0-valued noise.
-    EXPECT_NE(out.find('-'), std::string::npos);
 }
 
 // --------------------------------------- phase-aware convergence

@@ -16,15 +16,21 @@
  *  - mixed-period cluster mixes replay steady cycles bit-identically
  *    to full simulation on random platforms;
  *  - k x every bandwidth and 1/k x every step latency make a lone
- *    collective exactly k x faster.
+ *    collective exactly k x faster;
+ *  - a random themis_cli grid stores the same canonical results
+ *    sharded and unsharded, on one worker thread and on three.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 
+#include "app/cli.hpp"
 #include "cluster/cluster.hpp"
 #include "collective/dataplane/dataplane_collectives.hpp"
 #include "common/random.hpp"
@@ -33,6 +39,7 @@
 #include "npu/npu_machine.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "sim/fault_timeline.hpp"
+#include "topology/parse.hpp"
 
 namespace themis {
 namespace {
@@ -493,6 +500,86 @@ TEST_P(ClusterMixFuzz, MixedPeriodReplayBitIdenticalToFullSim)
     EXPECT_TRUE(workload::resultsBitIdentical(fast, full))
         << topo.describe() << " rounds " << rounds << " hyper "
         << plan.hyper_period;
+}
+
+/** Run themis_cli with @p args, dropping its stdout; the exit code. */
+int
+runThemisCli(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "themis_cli");
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    ::testing::internal::CaptureStdout();
+    const int code = app::runCli(static_cast<int>(argv.size()), argv.data());
+    (void)::testing::internal::GetCapturedStdout();
+    return code;
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+}
+
+class GridShardFuzz : public ::testing::TestWithParam<int>
+{};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GridShardFuzz, ::testing::Range(600, 606));
+
+TEST_P(GridShardFuzz, ShardsAndWorkerCountsMergeToTheSameStore)
+{
+    // A random small grid (random platforms x the three schedulers x
+    // random chunk counts) must store the same canonical results run
+    // whole or as two merged shards, and on one worker thread or three.
+    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    std::string grid;
+    for (int i = 0, n = static_cast<int>(rng.uniformInt(1, 3)); i < n; ++i) {
+        Topology topo = randomTopology(rng);
+        while (topo.totalNpus() > 512)
+            topo = randomTopology(rng);
+        grid += (i > 0 ? ";" : "") + topologySpec(topo);
+    }
+    std::string sweep;
+    for (int i = 0, n = static_cast<int>(rng.uniformInt(1, 3)); i < n; ++i)
+        sweep += (i > 0 ? "," : "") + std::to_string(rng.uniformInt(1, 16));
+    const char* types[] = {"ar", "rs", "ag", "a2a"};
+    const std::vector<std::string> base = {
+        "--grid", grid, "--sweep", sweep, "--type",
+        types[rng.uniformInt(0, 3)], "--size",
+        std::to_string(rng.uniformReal(1.0e6, 2.0e8))};
+    const std::string dir = ::testing::TempDir() + "grid_fuzz_" +
+                            std::to_string(GetParam()) + "_";
+    auto path = [&](const char* name) { return dir + name; };
+    auto grid_run = [&](std::vector<std::string> extra, const char* store) {
+        std::remove(path(store).c_str());
+        std::vector<std::string> args = base;
+        args.insert(args.end(), extra.begin(), extra.end());
+        args.insert(args.end(), {"--results", path(store)});
+        EXPECT_EQ(runThemisCli(args), 0) << grid << " --sweep " << sweep;
+    };
+    auto merge = [&](const char* out, const std::string& in) {
+        EXPECT_EQ(runThemisCli({"--merge", path(out) + "," + in}), 0);
+        return readFile(path(out));
+    };
+    grid_run({"--jobs", "1"}, "whole1.jsonl");
+    grid_run({"--jobs", "3"}, "whole3.jsonl");
+    grid_run({"--jobs", "2", "--shard", "0/2"}, "s0.jsonl");
+    grid_run({"--jobs", "2", "--shard", "1/2"}, "s1.jsonl");
+    const std::string whole = merge("c1.jsonl", path("whole1.jsonl"));
+    // Every cell is recorded: at least the three schedulers of one
+    // platform and chunk count (repeated --sweep values share keys).
+    EXPECT_GE(std::count(whole.begin(), whole.end(), '\n'), 3) << whole;
+    EXPECT_EQ(merge("c3.jsonl", path("whole3.jsonl")), whole);
+    EXPECT_EQ(merge("cs.jsonl", path("s0.jsonl") + "," + path("s1.jsonl")),
+              whole)
+        << grid << " --sweep " << sweep;
+    for (const char* f : {"whole1.jsonl", "whole3.jsonl", "s0.jsonl",
+                          "s1.jsonl", "c1.jsonl", "c3.jsonl", "cs.jsonl"})
+        std::remove(path(f).c_str());
 }
 
 class BackendEquivalenceFuzz : public ::testing::TestWithParam<int>

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the statistics layer: activity timelines (Fig 9
- * machinery), utilization windows (Fig 4 definition) and text tables.
+ * machinery), utilization windows (Fig 4 definition), text tables and
+ * the run report's text form.
  */
 
 #include <gtest/gtest.h>
@@ -10,8 +11,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/string_util.hpp"
 #include "stats/activity_timeline.hpp"
 #include "stats/summary.hpp"
+#include "stats/telemetry/run_report.hpp"
 #include "stats/trace_writer.hpp"
 #include "stats/utilization_tracker.hpp"
 
@@ -153,6 +156,91 @@ TEST(TextTable, RejectsArityMismatch)
     EXPECT_DEATH(t.addRow({"only-one"}), "arity");
 }
 
+/** The line of @p text that starts with @p prefix ("" if none). */
+std::string
+lineStarting(const std::string& text, const std::string& prefix)
+{
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind(prefix, 0) == 0)
+            return line;
+    return "";
+}
+
+TEST(RunReport, TextFormatsUnitsDashesAbsentCellsJsonKeepsRawValues)
+{
+    using telemetry::RunReport;
+    using telemetry::Unit;
+    RunReport report("single");
+    report.setInfo("topology", "2D-SW_SW");
+    report.setNumber("time_ns", 1.5e6, Unit::Time);
+    report.setNumber("size_bytes", 2.0e9, Unit::Bytes);
+    report.setNumber("util", 0.5, Unit::Percent);
+    report.setNumber("error", 0.0, Unit::Percent);
+    report.setNumber("chunks", 7, Unit::Count);
+    report.setNumber("ratio", 0.0625);
+    report.setNumber("slowdown", 1.144, Unit::Factor);
+    auto& t = report.addTable("fault",
+                              {{"dim", "Dim"},
+                               {"down_time_ns", "Down time", Unit::Time},
+                               {"lost_bytes", "Lost bytes", Unit::Bytes},
+                               {"fatal", "", Unit::Count}});
+    t.addRow({"dim1", 5.0e4, {1.5e6, false}, 3});
+    t.addRow({"dim2", {0.0, false}, 2.5e3, 0});
+    report.addTable("cells", {{"key", ""}, {"values.time_ns", "Time", Unit::Time}})
+        .addRow({"k", 2.0});
+
+    const std::string text = report.toText();
+    // Each number in fill order, padded to the longest key, in its
+    // unit's formatter.
+    EXPECT_EQ(lineStarting(text, "topology"), "topology    2D-SW_SW");
+    EXPECT_EQ(lineStarting(text, "time_ns"), "time_ns     " + fmtTime(1.5e6));
+    EXPECT_EQ(lineStarting(text, "size_bytes"),
+              "size_bytes  " + fmtBytes(2.0e9));
+    EXPECT_EQ(lineStarting(text, "util"), "util        " + fmtPercent(0.5));
+    EXPECT_EQ(lineStarting(text, "error"), "error       0.0000%");
+    EXPECT_EQ(lineStarting(text, "chunks"), "chunks      7");
+    EXPECT_EQ(lineStarting(text, "ratio"), "ratio       0.0625");
+    EXPECT_EQ(lineStarting(text, "slowdown"), "slowdown    1.14x");
+    EXPECT_LT(text.find("topology"), text.find("slowdown"));
+
+    // An absent cell is "-" in its own column on its own row's line;
+    // its neighbours keep their formatted values. The JSON-only column
+    // has no header.
+    const std::string head = lineStarting(text, "Dim");
+    const std::size_t down = head.find("Down time");
+    const std::size_t lost = head.find("Lost bytes");
+    ASSERT_NE(down, std::string::npos);
+    ASSERT_NE(lost, std::string::npos);
+    EXPECT_EQ(head.find("fatal"), std::string::npos);
+    const std::string dim1 = lineStarting(text, "dim1");
+    const std::string dim2 = lineStarting(text, "dim2");
+    EXPECT_EQ(dim1.substr(down, lost - down), "50.0 us    ");
+    EXPECT_EQ(dim1.substr(lost), "-         ");
+    EXPECT_EQ(dim2.substr(down, lost - down), "-          ");
+    EXPECT_EQ(dim2.substr(lost), fmtBytes(2.5e3) + "   ");
+    EXPECT_NE(lineStarting(text, "fault:"), "");
+
+    // The JSON carries the raw values, absent cells included, and
+    // nests "a.b" column keys.
+    const std::string json = report.toJson();
+    EXPECT_NE(json.find("\"numbers\":{\"chunks\":7,\"error\":0,"
+                        "\"ratio\":0.0625,\"size_bytes\":2000000000,"
+                        "\"slowdown\":1.1439999999999999,"
+                        "\"time_ns\":1500000,\"util\":0.5}"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"fault\":[{\"dim\":\"dim1\",\"down_time_ns\":"
+                        "50000,\"lost_bytes\":1500000,\"fatal\":3},"
+                        "{\"dim\":\"dim2\",\"down_time_ns\":0,"
+                        "\"lost_bytes\":2500,\"fatal\":0}]"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"cells\":[{\"key\":\"k\",\"values\":"
+                        "{\"time_ns\":2}}]"),
+              std::string::npos)
+        << json;
+}
 
 TEST(TraceWriter, EmitsTraceEventJson)
 {

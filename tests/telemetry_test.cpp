@@ -22,7 +22,6 @@
 #include "models/model_zoo.hpp"
 #include "runtime/comm_runtime.hpp"
 #include "sim/fault_timeline.hpp"
-#include "stats/summary.hpp"
 #include "stats/telemetry/flight_recorder.hpp"
 #include "stats/telemetry/json_writer.hpp"
 #include "stats/telemetry/metrics.hpp"
@@ -540,7 +539,7 @@ TEST(TelemetryReport, RoundTripsSectionsMetricsAndRecorder)
     RunReport report("single");
     report.setInfo("topology", "2D-SW_SW");
     report.setNumber("time_ns", 1.25e6);
-    report.addSection("jobs", "[{\"job\":0}]");
+    report.addTable("jobs", {{"job", "Job"}}).addRow({0});
     report.attachMetrics(&reg);
     report.attachRecorder(&rec);
 
@@ -668,44 +667,6 @@ TEST(TelemetryCluster, PerJobMetricsDeadlineMissesAndTraceRows)
     EXPECT_NE(json.find("iter#"), std::string::npos);
     EXPECT_NE(json.find("req#"), std::string::npos);
     EXPECT_NE(json.find("deadline miss"), std::string::npos);
-}
-
-// ------------------------------------------------ table columns
-
-TEST(TelemetryTables, JobAndFaultTablesRenderTailColumns)
-{
-    std::vector<stats::JobUsageRow> jobs;
-    stats::JobUsageRow with;
-    with.name = "infer:16.00 MB";
-    with.kind = "infer";
-    with.units = 3;
-    with.mean_unit = 1.0e6;
-    with.unit_p99 = 1.5e6;
-    with.unit_max = 2.0e6;
-    jobs.push_back(with);
-    stats::JobUsageRow without;
-    without.name = "train:DLRM";
-    without.kind = "train";
-    jobs.push_back(without);
-    const std::string out = stats::renderJobTable(jobs);
-    EXPECT_NE(out.find("p99 unit"), std::string::npos);
-    EXPECT_NE(out.find("Max unit"), std::string::npos);
-    // The telemetry-less row renders "-" in the tail columns.
-    EXPECT_NE(out.find('-'), std::string::npos);
-
-    std::vector<stats::FaultDimRow> dims;
-    stats::FaultDimRow d0;
-    d0.name = "dim0 (SW)";
-    d0.retries = 7;
-    d0.lost_bytes = 1.5e6;
-    d0.backoff_p99 = 4.0e3;
-    d0.backoff_max = 8.0e3;
-    dims.push_back(d0);
-    dims.push_back({"dim1 (SW)"});
-    const std::string ftab = stats::renderFaultTable(dims);
-    EXPECT_NE(ftab.find("Backoff p99"), std::string::npos);
-    EXPECT_NE(ftab.find("Backoff max"), std::string::npos);
-    EXPECT_NE(ftab.find("dim0 (SW)"), std::string::npos);
 }
 
 } // namespace
