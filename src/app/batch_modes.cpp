@@ -575,7 +575,8 @@ runServe(Session& s)
     const double mean_hit = n_hit > 0 ? hit_ms / double(n_hit) : 0.0;
     const double mean_miss = n_miss > 0 ? miss_ms / double(n_miss) : 0.0;
     RunReport report("serve");
-    report.setInfo("results_store", o.results);
+    if (!o.results.empty())
+        report.setInfo("results_store", o.results);
     report.setNumber("queries", static_cast<double>(n_q), Unit::Count);
     report.setNumber("hits", static_cast<double>(n_hit), Unit::Count);
     report.setNumber("misses", static_cast<double>(n_miss), Unit::Count);

@@ -203,7 +203,7 @@ reportRetryExhausted(const Session& s, const runtime::FatalRetryReport& r)
     stats::telemetry::RunReport report("fatal");
     report.setInfo("error", "retry budget exhausted");
     using stats::telemetry::Unit;
-    report.setNumber("dim", r.dim, Unit::Count);
+    report.setNumber("dim", r.dim + 1, Unit::Count);
     report.setNumber("attempts", r.attempts, Unit::Count);
     report.setNumber("lost_bytes", r.lost_bytes, Unit::Bytes);
     report.setNumber("collective", r.op.collective_id, Unit::Count);

@@ -34,22 +34,6 @@ collectiveTypeName(CollectiveType t)
 }
 
 Bytes
-sizeAfterPhase(Phase phase, Bytes entering, int peers)
-{
-    THEMIS_ASSERT(peers >= 2, "phase on degenerate dimension " << peers);
-    THEMIS_ASSERT(entering >= 0.0, "negative size " << entering);
-    switch (phase) {
-      case Phase::ReduceScatter:
-        return entering / peers;
-      case Phase::AllGather:
-        return entering * peers;
-      case Phase::AllToAll:
-        return entering;
-    }
-    THEMIS_PANIC("unknown Phase");
-}
-
-Bytes
 wireBytes(Phase phase, Bytes entering, int peers)
 {
     THEMIS_ASSERT(peers >= 2, "phase on degenerate dimension " << peers);

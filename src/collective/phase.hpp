@@ -20,6 +20,7 @@
 
 #include <string>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace themis {
@@ -52,7 +53,21 @@ std::string collectiveTypeName(CollectiveType t);
  * Per-NPU data size after executing @p phase on a dimension of size
  * @p peers, given the entering size.
  */
-Bytes sizeAfterPhase(Phase phase, Bytes entering, int peers);
+inline Bytes
+sizeAfterPhase(Phase phase, Bytes entering, int peers)
+{
+    THEMIS_ASSERT(peers >= 2, "phase on degenerate dimension " << peers);
+    THEMIS_ASSERT(entering >= 0.0, "negative size " << entering);
+    switch (phase) {
+      case Phase::ReduceScatter:
+        return entering / peers;
+      case Phase::AllGather:
+        return entering * peers;
+      case Phase::AllToAll:
+        return entering;
+    }
+    THEMIS_PANIC("unknown Phase");
+}
 
 /**
  * Bytes each NPU sends on the wire to execute @p phase on a dimension

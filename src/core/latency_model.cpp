@@ -28,13 +28,6 @@ LatencyModel::LatencyModel(std::vector<DimensionConfig> dims)
     fingerprint_ = hash.value();
 }
 
-std::uint64_t
-LatencyModel::dimFingerprint(int d) const
-{
-    THEMIS_ASSERT(d >= 0 && d < numDims(), "bad dimension " << d);
-    return dim_fingerprints_[static_cast<std::size_t>(d)];
-}
-
 LatencyModel
 LatencyModel::fromTopology(const Topology& topo)
 {
@@ -82,13 +75,6 @@ LatencyModel::scaledBy(const std::vector<double>& factors) const
         dims[d].link_bw_gbps *= factors[d];
     }
     return LatencyModel(std::move(dims));
-}
-
-const DimensionConfig&
-LatencyModel::dim(int d) const
-{
-    THEMIS_ASSERT(d >= 0 && d < numDims(), "bad local dimension " << d);
-    return dims_[static_cast<std::size_t>(d)];
 }
 
 TimeNs

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "collective/cost_model.hpp"
+#include "common/error.hpp"
 #include "core/chunk.hpp"
 #include "topology/topology.hpp"
 
@@ -111,6 +112,20 @@ class LatencyModel
     std::uint64_t fingerprint_ = 0;
     std::vector<std::uint64_t> dim_fingerprints_;
 };
+
+inline const DimensionConfig&
+LatencyModel::dim(int d) const
+{
+    THEMIS_ASSERT(d >= 0 && d < numDims(), "bad local dimension " << d);
+    return dims_[static_cast<std::size_t>(d)];
+}
+
+inline std::uint64_t
+LatencyModel::dimFingerprint(int d) const
+{
+    THEMIS_ASSERT(d >= 0 && d < numDims(), "bad dimension " << d);
+    return dim_fingerprints_[static_cast<std::size_t>(d)];
+}
 
 } // namespace themis
 

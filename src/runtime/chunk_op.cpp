@@ -1,7 +1,5 @@
 #include "runtime/chunk_op.hpp"
 
-#include "common/error.hpp"
-
 namespace themis::runtime {
 
 StepSummary
@@ -27,27 +25,6 @@ stepSummaryFor(Phase phase, Bytes entering, const DimensionConfig& dim,
     if (step_cache != nullptr)
         step_cache->storeStep(key, summary);
     return summary;
-}
-
-void
-buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase, int local_dim,
-             int global_dim, Bytes entering, const DimensionConfig& dim,
-             const StepSummary& summary,
-             const std::function<void(const ChunkOp&)>& on_complete,
-             const FlowClass& flow)
-{
-    THEMIS_ASSERT(on_complete, "chunk op needs a completion callback");
-    op.tag = tag;
-    op.phase = phase;
-    op.local_dim = local_dim;
-    op.global_dim = global_dim;
-    op.entering = entering;
-    op.flow = flow;
-    op.fixed_delay = summary.fixed_delay;
-    op.transfer_time = summary.total_bytes / dim.bandwidth();
-    op.steps.push_back(StepPlan{summary.fixed_delay,
-                                summary.total_bytes});
-    op.on_complete = on_complete;
 }
 
 ChunkOp

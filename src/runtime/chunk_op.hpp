@@ -138,11 +138,26 @@ StepSummary stepSummaryFor(Phase phase, Bytes entering,
  * builder; taking the summary lets a caller resolve it once per
  * stage. @p flow is the parent collective's flow class.
  */
-void buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase,
-                  int local_dim, int global_dim, Bytes entering,
-                  const DimensionConfig& dim, const StepSummary& summary,
-                  const std::function<void(const ChunkOp&)>& on_complete,
-                  const FlowClass& flow);
+inline void
+buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase, int local_dim,
+             int global_dim, Bytes entering, const DimensionConfig& dim,
+             const StepSummary& summary,
+             const std::function<void(const ChunkOp&)>& on_complete,
+             const FlowClass& flow)
+{
+    THEMIS_ASSERT(on_complete, "chunk op needs a completion callback");
+    op.tag = tag;
+    op.phase = phase;
+    op.local_dim = local_dim;
+    op.global_dim = global_dim;
+    op.entering = entering;
+    op.flow = flow;
+    op.fixed_delay = summary.fixed_delay;
+    op.transfer_time = summary.total_bytes / dim.bandwidth();
+    op.steps.push_back(StepPlan{summary.fixed_delay,
+                                summary.total_bytes});
+    op.on_complete = on_complete;
+}
 
 /**
  * Build a ChunkOp for @p phase of chunk @p tag on dimension @p dim:

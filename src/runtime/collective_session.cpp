@@ -98,7 +98,7 @@ CollectiveSession::start()
         submitStage(i, 0, (*schedules_)[i].size);
 }
 
-void
+inline void
 CollectiveSession::submitStage(std::size_t chunk_idx, int stage_index,
                                Bytes entering)
 {
@@ -116,7 +116,7 @@ CollectiveSession::submitStage(std::size_t chunk_idx, int stage_index,
     engine->enqueue(std::move(op));
 }
 
-const StepSummary&
+inline const StepSummary&
 CollectiveSession::stepFor(Phase phase, Bytes entering, int local_dim)
 {
     const StepKey key{phase, entering, model_->dimFingerprint(local_dim)};
@@ -130,7 +130,7 @@ CollectiveSession::stepFor(Phase phase, Bytes entering, int local_dim)
     return steps_.back().second;
 }
 
-void
+inline void
 CollectiveSession::onOpComplete(const ChunkOp& op)
 {
     // Find the chunk (chunk ids are dense indexes per session).

@@ -104,13 +104,13 @@ class CollectiveSession
     const FlowClass& flow() const { return flow_; }
 
   private:
-    void submitStage(std::size_t chunk_idx, int stage_index,
-                     Bytes entering);
+    inline void submitStage(std::size_t chunk_idx, int stage_index,
+                            Bytes entering);
     /** Step aggregates of (phase, entering, local dim), resolved
      *  once per collective through steps_. */
-    const StepSummary& stepFor(Phase phase, Bytes entering,
-                               int local_dim);
-    void onOpComplete(const ChunkOp& op);
+    inline const StepSummary& stepFor(Phase phase, Bytes entering,
+                                      int local_dim);
+    inline void onOpComplete(const ChunkOp& op);
     /** Shared schedule/engine/model consistency checks. */
     void validate() const;
 

@@ -91,7 +91,7 @@ DimensionEngine::beginIterationEpoch()
     channel_.epochReset();
 }
 
-std::uint32_t
+inline std::uint32_t
 DimensionEngine::acquireSlot(ChunkOp&& op)
 {
     std::uint32_t s = free_slot_;
@@ -106,7 +106,7 @@ DimensionEngine::acquireSlot(ChunkOp&& op)
     return s;
 }
 
-void
+inline void
 DimensionEngine::releaseSlot(std::uint32_t s)
 {
     OpSlot& slot = slotAt(s);
@@ -116,7 +116,7 @@ DimensionEngine::releaseSlot(std::uint32_t s)
     free_slot_ = s;
 }
 
-DimensionEngine::OpSlot&
+inline DimensionEngine::OpSlot&
 DimensionEngine::liveSlot(OpHandle h)
 {
     const auto s = static_cast<std::uint32_t>(h >> 32);
@@ -126,7 +126,7 @@ DimensionEngine::liveSlot(OpHandle h)
     return slotAt(s);
 }
 
-std::vector<DimensionEngine::Bucket>::iterator
+inline std::vector<DimensionEngine::Bucket>::iterator
 DimensionEngine::bucketFor(const ChunkOp& op)
 {
     const int tier = op.flow.tier;
@@ -149,7 +149,7 @@ DimensionEngine::bucketFor(const ChunkOp& op)
     return it;
 }
 
-void
+inline void
 DimensionEngine::readyInsert(std::uint32_t s)
 {
     const OpSlot& slot = slotAt(s);
@@ -171,7 +171,7 @@ DimensionEngine::readyInsert(std::uint32_t s)
                  ReadyOp{seq, s});
 }
 
-void
+inline void
 DimensionEngine::readyErase(std::uint32_t s)
 {
     const OpSlot& slot = slotAt(s);
@@ -185,7 +185,7 @@ DimensionEngine::readyErase(std::uint32_t s)
     readyPop(static_cast<std::size_t>(it - buckets_.begin()));
 }
 
-void
+inline void
 DimensionEngine::readyPop(std::size_t b)
 {
     Bucket& bucket = buckets_[b];
@@ -412,7 +412,7 @@ DimensionEngine::enqueue(ChunkOp&& op)
     tryStart();
 }
 
-bool
+inline bool
 DimensionEngine::admissionAllows(const ChunkOp& candidate) const
 {
     if (active_ == 0)
@@ -440,7 +440,7 @@ DimensionEngine::promoteExpected(EnforcedOrder& eo)
     eo.parked.erase(it);
 }
 
-void
+inline void
 DimensionEngine::tryStart()
 {
     if (link_down_)
@@ -463,7 +463,7 @@ DimensionEngine::tryStart()
     tryStartBatch();
 }
 
-void
+inline void
 DimensionEngine::tryStartBatch()
 {
     // One streamed pass over the policy-ordered ready prefix. The
@@ -555,7 +555,7 @@ DimensionEngine::tryStartScalar()
     }
 }
 
-void
+inline void
 DimensionEngine::startOp(std::uint32_t s)
 {
     --queued_;
@@ -591,7 +591,7 @@ DimensionEngine::startOp(std::uint32_t s)
     advance(handleOf(s));
 }
 
-void
+inline void
 DimensionEngine::addActive(const ChunkOp& op)
 {
     ++active_;
@@ -605,7 +605,7 @@ DimensionEngine::addActive(const ChunkOp& op)
         active_delays_.insert(it, {op.fixed_delay, 1});
 }
 
-void
+inline void
 DimensionEngine::removeActive(const ChunkOp& op)
 {
     --active_;
@@ -622,7 +622,7 @@ DimensionEngine::removeActive(const ChunkOp& op)
         active_weighted_sum_ = 0.0; // shed fp drift at quiesce points
 }
 
-void
+inline void
 DimensionEngine::advance(OpHandle h)
 {
     OpSlot& a = liveSlot(h);
@@ -668,7 +668,7 @@ DimensionEngine::advance(OpHandle h)
     }
 }
 
-void
+inline void
 DimensionEngine::finish(OpHandle h)
 {
     OpSlot& slot = liveSlot(h);

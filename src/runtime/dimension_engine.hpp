@@ -61,6 +61,10 @@
  * op; once the streak reaches AdmissionConfig::max_priority_bypass,
  * the oldest waiting op is selected next regardless of tier. Lower
  * tiers are therefore delayed, never starved.
+ *
+ * The per-op helpers (the slot, ready-set and admission helpers,
+ * tryStart, tryStartBatch, startOp, advance and finish) are inline
+ * and defined in dimension_engine.cpp, their only caller.
  */
 
 #ifndef THEMIS_RUNTIME_DIMENSION_ENGINE_HPP
@@ -466,45 +470,45 @@ class DimensionEngine
         return pages_[s >> kPageShift][s & (kPageSlots - 1)];
     }
     /** Store @p op in a free slot (a new page if none is free). */
-    std::uint32_t acquireSlot(ChunkOp&& op);
+    inline std::uint32_t acquireSlot(ChunkOp&& op);
     /** Return slot @p s to the free list; its handles go stale. */
-    void releaseSlot(std::uint32_t s);
+    inline void releaseSlot(std::uint32_t s);
     OpHandle
     handleOf(std::uint32_t s)
     {
         return static_cast<OpHandle>(s) << 32 | slotAt(s).generation;
     }
     /** The slot @p h names; asserts that the handle is not stale. */
-    OpSlot& liveSlot(OpHandle h);
+    inline OpSlot& liveSlot(OpHandle h);
 
     /** @p op's key's bucket; inserted in key order if absent. */
-    std::vector<Bucket>::iterator bucketFor(const ChunkOp& op);
+    inline std::vector<Bucket>::iterator bucketFor(const ChunkOp& op);
     /** Insert slot @p s into its key's bucket at its arrival position. */
-    void readyInsert(std::uint32_t s);
+    inline void readyInsert(std::uint32_t s);
     /** Remove slot @p s from its bucket (parking an already-ready op). */
-    void readyErase(std::uint32_t s);
+    inline void readyErase(std::uint32_t s);
     /** Pop buckets_[b]'s head; an emptied bucket goes to spare_. */
-    void readyPop(std::size_t b);
+    inline void readyPop(std::size_t b);
 
-    void tryStart();
+    inline void tryStart();
     /** One-op-at-a-time refill over the bucketed ready set (general
      *  path: enforced orders, mixed tiers, anti-starvation). */
     void tryStartScalar();
     /** Batched refill: admission headroom checks streamed over the
      *  ready prefix in one pass with register-resident aggregates
      *  (single-tier, order-free fast path). */
-    void tryStartBatch();
-    bool admissionAllows(const ChunkOp& candidate) const;
+    inline void tryStartBatch();
+    inline bool admissionAllows(const ChunkOp& candidate) const;
     /** Promote @p eo's newly expected op from parked to ready. */
     void promoteExpected(EnforcedOrder& eo);
     /** Start the op in slot @p s (already out of the ready set). */
-    void startOp(std::uint32_t s);
-    void advance(OpHandle h);
-    void finish(OpHandle h);
+    inline void startOp(std::uint32_t s);
+    inline void advance(OpHandle h);
+    inline void finish(OpHandle h);
     /** Count @p op into (out of) the running ops and their
      *  admission aggregates. */
-    void addActive(const ChunkOp& op);
-    void removeActive(const ChunkOp& op);
+    inline void addActive(const ChunkOp& op);
+    inline void removeActive(const ChunkOp& op);
     /** Fault path: take @p h's op out of the active set, account
      *  @p lost re-sent bytes, and schedule its backoff requeue. */
     void failOp(OpHandle h, Bytes lost);

@@ -47,6 +47,10 @@
  * number, so it orders exactly as the re-scheduled event would. Only
  * the heap implements it; on the calendar it always declines, and
  * callers fall back to cancel() + schedule().
+ *
+ * The per-event definitions (pushEntry(), the heap primitives,
+ * allocSlot()/releaseSlot() and retime()) sit inline at the end of
+ * this header, so the channels and engines inline them.
  */
 
 #ifndef THEMIS_SIM_EVENT_QUEUE_HPP
@@ -363,6 +367,141 @@ class EventQueue
 
     std::vector<Entry> cohort_scratch_;
 };
+
+// The per-event path, defined here so callers in other files inline it.
+
+inline std::uint32_t
+EventQueue::allocSlot()
+{
+    if (free_head_ != kNoSlot) {
+        const std::uint32_t idx = free_head_;
+        free_head_ = slots_[idx].next_free;
+        slots_[idx].next_free = kNoSlot;
+        return idx;
+    }
+    THEMIS_ASSERT(slots_.size() < kNoSlot, "event slab exhausted");
+    slots_.emplace_back();
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+inline void
+EventQueue::releaseSlot(std::uint32_t idx)
+{
+    Slot& slot = slots_[idx];
+    slot.invoke = nullptr;
+    slot.relocate = nullptr;
+    slot.destroy = nullptr;
+    ++slot.generation; // stale ids and cohort entries now miss
+    slot.next_free = free_head_;
+    slot.bucket = kNoSlot;
+    free_head_ = idx;
+}
+
+inline bool
+EventQueue::retime(EventId id, TimeNs when)
+{
+    THEMIS_ASSERT(when >= now_ - 1e-9,
+                  "retiming into the past: when=" << when
+                                                  << " now=" << now_);
+    // Only the heap moves events in place. The calendar is kept for
+    // measurement alone; a false return sends its callers down
+    // cancel + schedule, which orders identically.
+    if (front_end_ != EventFrontEnd::Heap)
+        return false;
+    const std::uint64_t high = id >> 32;
+    if (high == 0 || high > slots_.size())
+        return false;
+    const auto idx = static_cast<std::uint32_t>(high - 1);
+    Slot& slot = slots_[idx];
+    if (slot.invoke == nullptr ||
+        slot.generation != static_cast<std::uint32_t>(id) ||
+        slot.bucket == kNoSlot)
+        return false;
+    // The key schedule() would give the re-scheduled event.
+    heap_[slot.pos] = Entry{when < now_ ? now_ : when, next_seq_++, idx,
+                            slot.generation};
+    heapFix(slot.pos);
+    return true;
+}
+
+inline void
+EventQueue::pushEntry(const Entry& e)
+{
+    if (front_end_ == EventFrontEnd::Heap) {
+        heapPush(e);
+        return;
+    }
+    calPush(e);
+}
+
+inline void
+EventQueue::heapPlace(std::size_t pos, const Entry& e)
+{
+    heap_[pos] = e;
+    Slot& slot = slots_[e.slot];
+    slot.bucket = 0;
+    slot.pos = static_cast<std::uint32_t>(pos);
+}
+
+inline void
+EventQueue::heapSiftUp(std::size_t pos, Entry e)
+{
+    while (pos > 0) {
+        const std::size_t parent = (pos - 1) / 2;
+        if (!earlier(e, heap_[parent]))
+            break;
+        heapPlace(pos, heap_[parent]);
+        pos = parent;
+    }
+    heapPlace(pos, e);
+}
+
+inline void
+EventQueue::heapSiftDown(std::size_t pos, Entry e)
+{
+    const std::size_t n = heap_.size();
+    while (true) {
+        std::size_t best = 2 * pos + 1;
+        if (best >= n)
+            break;
+        if (best + 1 < n && earlier(heap_[best + 1], heap_[best]))
+            ++best;
+        if (!earlier(heap_[best], e))
+            break;
+        heapPlace(pos, heap_[best]);
+        pos = best;
+    }
+    heapPlace(pos, e);
+}
+
+inline void
+EventQueue::heapFix(std::size_t pos)
+{
+    if (pos > 0 && earlier(heap_[pos], heap_[(pos - 1) / 2]))
+        heapSiftUp(pos, heap_[pos]);
+    else
+        heapSiftDown(pos, heap_[pos]);
+}
+
+inline void
+EventQueue::heapPush(const Entry& e)
+{
+    heap_.push_back(e);
+    heapSiftUp(heap_.size() - 1, e);
+}
+
+inline void
+EventQueue::heapRemoveAt(std::size_t pos)
+{
+    THEMIS_ASSERT(pos < heap_.size(), "heap back-pointer out of range");
+    slots_[heap_[pos].slot].bucket = kNoSlot;
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (pos == heap_.size())
+        return;
+    heap_[pos] = last;
+    heapFix(pos);
+}
 
 } // namespace themis::sim
 

@@ -54,7 +54,7 @@ SharedChannel::SharedChannel(EventQueue& queue, Bandwidth capacity)
     THEMIS_ASSERT(capacity_ > 0.0, "channel capacity must be positive");
 }
 
-void
+inline void
 SharedChannel::heapPush(FinishEntry entry)
 {
     finish_heap_.push_back(entry);
@@ -62,7 +62,7 @@ SharedChannel::heapPush(FinishEntry entry)
                    FinishLater{});
 }
 
-void
+inline void
 SharedChannel::heapPop()
 {
     std::pop_heap(finish_heap_.begin(), finish_heap_.end(),
@@ -70,7 +70,7 @@ SharedChannel::heapPop()
     finish_heap_.pop_back();
 }
 
-std::uint32_t
+inline std::uint32_t
 SharedChannel::allocSlot()
 {
     if (free_head_ != kNoSlot) {
@@ -137,6 +137,12 @@ SharedChannel::classProgressedBytes(int cls) const
     return it == classes_.end() ? 0.0 : it->second.progressed;
 }
 
+void
+SharedChannel::sync()
+{
+    advanceTo(queue_.now());
+}
+
 SharedChannel::TransferId
 SharedChannel::begin(Bytes bytes, Callback on_done)
 {
@@ -185,7 +191,7 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     return (static_cast<TransferId>(idx) + 1) << 32 | generation;
 }
 
-void
+inline void
 SharedChannel::release(std::uint32_t slot)
 {
     Transfer& t = slots_[slot];
@@ -255,7 +261,7 @@ SharedChannel::abort(TransferId id)
     reschedule();
 }
 
-void
+inline void
 SharedChannel::maybeRebase()
 {
     if (vtime_ < kRebaseThreshold)
@@ -344,7 +350,7 @@ SharedChannel::failActive()
     return failed.size();
 }
 
-void
+inline void
 SharedChannel::advanceTo(TimeNs t)
 {
     THEMIS_ASSERT(t >= last_update_ - 1e-9,
@@ -370,7 +376,7 @@ SharedChannel::advanceTo(TimeNs t)
     maybeRebase();
 }
 
-bool
+inline bool
 SharedChannel::dropStaleTop()
 {
     while (!finish_heap_.empty() && !entryLive(finish_heap_.front()))
@@ -378,7 +384,7 @@ SharedChannel::dropStaleTop()
     return !finish_heap_.empty();
 }
 
-void
+inline void
 SharedChannel::reschedule()
 {
     if (!dropStaleTop()) {

@@ -38,6 +38,10 @@
  * per class, which is what the stats layer turns into per-class
  * utilization columns. (Busy time per dimension, Fig 9, comes from
  * stats::ActivityTimeline, not from the channel.)
+ *
+ * The per-transfer helpers (allocSlot, heapPush/heapPop, release,
+ * maybeRebase, advanceTo, dropStaleTop, reschedule) are inline and
+ * defined in shared_channel.cpp, their only caller.
  */
 
 #ifndef THEMIS_SIM_SHARED_CHANNEL_HPP
@@ -185,7 +189,7 @@ class SharedChannel
     std::size_t peakActiveCount() const { return peak_active_; }
 
     /** Bring progress accounting up to the queue's current time. */
-    void sync() { advanceTo(queue_.now()); }
+    void sync();
 
     /**
      * Iteration-epoch reset: rebase the channel clock to the queue's
@@ -270,14 +274,14 @@ class SharedChannel
 
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-    void advanceTo(TimeNs t);
+    inline void advanceTo(TimeNs t);
     /**
      * Point the one pending completion event at the heap top's drain
      * time: retime it in place (EventQueue::retime), cancel it when
      * nothing is in flight, and schedule a fresh one only when
      * retime() declines.
      */
-    void reschedule();
+    inline void reschedule();
     void onCompletionEvent();
     /** True when @p e names a transfer that is still in flight. */
     bool
@@ -287,20 +291,20 @@ class SharedChannel
         return t.live && t.generation == e.generation;
     }
     /** Drop aborted entries off the heap top; true if a live one remains. */
-    bool dropStaleTop();
+    inline bool dropStaleTop();
     /** Shift vtime_ (and all finish points) back toward zero. */
-    void maybeRebase();
+    inline void maybeRebase();
     /** Unconditional variant, used at capacity steps. */
     void rebaseNow();
-    void heapPush(FinishEntry entry);
-    void heapPop();
+    inline void heapPush(FinishEntry entry);
+    inline void heapPop();
     /** Virtual-time rate: capacity / total active weight. */
     double virtualRate() const { return capacity_ / weight_sum_; }
     /** Slot of the live transfer named by @p id, or kNoSlot. */
     std::uint32_t liveSlot(TransferId id) const;
-    std::uint32_t allocSlot();
+    inline std::uint32_t allocSlot();
     /** Drop the callbacks, free the slot, remove its weight. */
-    void release(std::uint32_t slot);
+    inline void release(std::uint32_t slot);
 
     EventQueue& queue_;
     Bandwidth capacity_;

@@ -2,13 +2,16 @@
  * @file
  * Tests for the themis_cli flag table: strict typed values, mode
  * selection, the one diagnostic for a flag given outside its modes,
- * the --jobs integer/spec overload, and the generated usage text.
+ * the --jobs integer/spec overload, the generated usage text, and
+ * serve's report without a results store.
  * Whole-run output is pinned by the byte-exact goldens instead
  * (tools/cli_golden.py).
  */
 
 #include <gtest/gtest.h>
 
+#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -212,6 +215,23 @@ TEST(CliUsage, HelpPrintsTheUsageAndExitsZero)
     EXPECT_EQ(testing::internal::GetCapturedStdout(),
               app::usageText("themis_cli"));
     EXPECT_EQ(code, 0);
+}
+
+TEST(CliServe, ReportNamesAResultsStoreOnlyWhenGivenOne)
+{
+    // Without --results the session keeps no store, so its report has
+    // no results_store line, as in the grid.
+    std::istringstream queries("topo=2D-SW_SW chunks=4 size=5e7 type=rs\n");
+    std::streambuf* const saved = std::cin.rdbuf(queries.rdbuf());
+    char prog[] = "themis_cli", serve[] = "--serve";
+    char* argv[] = {prog, serve};
+    testing::internal::CaptureStdout();
+    const int code = app::runCli(2, argv);
+    const std::string out = testing::internal::GetCapturedStdout();
+    std::cin.rdbuf(saved);
+    EXPECT_EQ(code, 0);
+    EXPECT_TRUE(contains(out, "\nqueries ")) << out;
+    EXPECT_FALSE(contains(out, "results_store")) << out;
 }
 
 } // namespace

@@ -30,22 +30,33 @@ parent -> change with the relative change. One traced run per side is
 an attribution, not a measurement: it says which layer moved, while
 the pairs say by how much the end-to-end metrics did.
 
+After the runs it prints each side's benchmark binary size
+(.bench_build/perfbench/perfbench): the text segment as `size` reports
+it, or the file size where `size` is missing. Growth of more than 10%
+is flagged: inlining trades code for speed, and peak_rss_mb counts the
+text pages a run touches.
+
 --out writes every run as one JSON line ({"workload", "pair", "side",
-"result"}; traced runs carry "trace": true instead of a pair), and
+"result"}; traced runs carry "trace": true instead of a pair; the
+binary sizes are {"binary", "side", "bytes", "measure"} lines), and
 --summarize prints the summary of such a file again, per-layer table
-included. --self-test summarizes canned lines and checks the numbers;
-it builds and runs nothing.
+and binary sizes included. --self-test summarizes canned lines and
+checks the numbers; it builds and runs nothing.
 """
 
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIDES = ("parent", "change")
+BINARY = os.path.join(".bench_build", "perfbench", "perfbench")
+# Flag a benchmark binary that grew by more than this fraction.
+BINARY_GROWTH = 0.10
 
 
 def load_benchmark(root):
@@ -116,6 +127,44 @@ def collect_traced(args, out):
     return runs
 
 
+def text_bytes(size_stdout):
+    """The text column of `size`'s Berkeley-format output."""
+    return int(size_stdout.splitlines()[1].split()[0])
+
+
+def binary_size(checkout, side):
+    """A binary-size record for the benchmark binary in `checkout`, or
+    None when it has not been built."""
+    path = os.path.join(checkout, BINARY)
+    if not os.path.exists(path):
+        return None
+    record = {"binary": True, "side": side,
+              "bytes": os.path.getsize(path), "measure": "file"}
+    if shutil.which("size"):
+        done = subprocess.run(["size", path], capture_output=True,
+                              text=True, check=False)
+        if done.returncode == 0:
+            record["bytes"] = text_bytes(done.stdout)
+            record["measure"] = "text"
+    return record
+
+
+def binary_sizes(runs):
+    """Returns (report lines, flags) for the binary-size records."""
+    sides = {r["side"]: r for r in runs if r.get("binary")}
+    if len(sides) != 2:
+        return [], []
+    a, b = (sides[s]["bytes"] for s in SIDES)
+    measures = sorted({sides[s]["measure"] for s in SIDES})
+    lines = ["perfbench binary (%s): parent %d -> change %d bytes %+.1f%%"
+             % ("/".join(measures), a, b, 100.0 * (b - a) / a)]
+    flags = []
+    if b > a * (1.0 + BINARY_GROWTH):
+        flags.append("perfbench binary grew %.1f%%, more than %d%%"
+                     % (100.0 * (b - a) / a, 100 * BINARY_GROWTH))
+    return lines, flags
+
+
 def workloads_of(runs):
     names = []
     for run in runs:
@@ -155,7 +204,7 @@ def layers(runs, per_layer):
 def summarize(runs, end_to_end):
     """Returns (report lines, flags) for the runs of every workload."""
     lines, flags = [], []
-    runs = [r for r in runs if not r.get("trace")]
+    runs = [r for r in runs if "pair" in r]
     workloads = workloads_of(runs)
     for workload in workloads:
         pairs = {}
@@ -297,6 +346,25 @@ def self_test():
         "  sim.channel.classes                               n/a -> n/a",
     ], lines
     assert flags == ["y traced change run not correct"], flags
+
+    # Binary sizes: summarize() and layers() skip them.
+    assert text_bytes("   text    data     bss     dec     hex filename\n"
+                      " 914201   12392    4832  931425   e3661 perfbench\n"
+                      ) == 914201
+    sizes = [{"binary": True, "side": "parent", "bytes": 884000,
+              "measure": "text"},
+             {"binary": True, "side": "change", "bytes": 914000,
+              "measure": "text"}]
+    assert summarize(worse + sizes, end_to_end)[0][0] == "x: 3 pairs"
+    lines, flags = binary_sizes(worse + sizes)
+    print("\n".join(lines + flags))
+    assert lines == ["perfbench binary (text): parent 884000 -> change "
+                     "914000 bytes +3.4%"], lines
+    assert flags == [], flags
+    sizes[1]["bytes"] = 2900000
+    lines, flags = binary_sizes(sizes)
+    assert flags == ["perfbench binary grew 228.1%, more than 10%"], flags
+    assert binary_sizes(sizes[:1]) == ([], [])
     print("perf_pairs self-test: ok")
     return 0
 
@@ -335,13 +403,20 @@ def main():
             runs = collect(args, out)
             if args.layers:
                 runs += collect_traced(args, out)
+            for side in SIDES:
+                record = binary_size(getattr(args, side), side)
+                if record is not None:
+                    runs.append(record)
+                    if out is not None:
+                        out.write(json.dumps(record) + "\n")
         finally:
             if out is not None:
                 out.close()
     lines, flags = summarize(runs, bench["end_to_end"])
     layer_lines, layer_flags = layers(runs, bench["per_layer"])
-    flags += layer_flags
-    print("\n".join(lines + layer_lines))
+    size_lines, size_flags = binary_sizes(runs)
+    flags += layer_flags + size_flags
+    print("\n".join(lines + layer_lines + size_lines))
     for flag in flags:
         print("FLAG " + flag)
     return 1 if flags else 0
