@@ -38,7 +38,7 @@ makeChunkOp(const OpTag& tag, Phase phase, int local_dim, int global_dim,
     buildChunkOp(op, tag, phase, local_dim, global_dim, entering, dim,
                  stepSummaryFor(phase, entering, dim, step_cache,
                                 dim_fingerprint),
-                 on_complete, flow);
+                 std::move(on_complete), flow);
     return op;
 }
 

@@ -8,6 +8,11 @@
  * Every op carries its collective's FlowClass (priority tier + GPS
  * weight), which the engines thread down to the shared channels —
  * priority is a first-class attribute from workload to wire.
+ *
+ * buildChunkOp() takes the completion callback by value and moves it
+ * into the op, so a session passing its `[this]` lambda builds one
+ * small-buffer std::function per op in place instead of cloning a
+ * stored one through std::function's manager.
  */
 
 #ifndef THEMIS_RUNTIME_CHUNK_OP_HPP
@@ -16,6 +21,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "collective/algorithms.hpp"
 #include "common/error.hpp"
@@ -136,13 +142,14 @@ StepSummary stepSummaryFor(Phase phase, Bytes entering,
  * Fill the fresh @p op for @p phase of chunk @p tag on dimension
  * @p dim from its step aggregates @p summary. This is the one op
  * builder; taking the summary lets a caller resolve it once per
- * stage. @p flow is the parent collective's flow class.
+ * stage. @p flow is the parent collective's flow class; @p on_complete
+ * is moved into the op (see file comment).
  */
 inline void
 buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase, int local_dim,
              int global_dim, Bytes entering, const DimensionConfig& dim,
              const StepSummary& summary,
-             const std::function<void(const ChunkOp&)>& on_complete,
+             std::function<void(const ChunkOp&)> on_complete,
              const FlowClass& flow)
 {
     THEMIS_ASSERT(on_complete, "chunk op needs a completion callback");
@@ -156,7 +163,7 @@ buildChunkOp(ChunkOp& op, const OpTag& tag, Phase phase, int local_dim,
     op.transfer_time = summary.total_bytes / dim.bandwidth();
     op.steps.push_back(StepPlan{summary.fixed_delay,
                                 summary.total_bytes});
-    op.on_complete = on_complete;
+    op.on_complete = std::move(on_complete);
 }
 
 /**

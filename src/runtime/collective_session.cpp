@@ -32,9 +32,7 @@ CollectiveSession::CollectiveSession(int id, CollectiveType type,
     : id_(id), type_(type), schedules_(std::move(schedules)),
       engines_(std::move(engines)), model_(&model), queue_(queue),
       on_done_(std::move(on_done)), flow_(flow),
-      step_cache_(step_cache),
-      on_op_complete_(
-          [this](const ChunkOp& op) { onOpComplete(op); })
+      step_cache_(step_cache)
 {
     validate();
 }
@@ -58,7 +56,6 @@ CollectiveSession::reset(int id, CollectiveType type,
     flow_ = flow;
     step_cache_ = step_cache;
     steps_.clear();
-    // on_op_complete_ captures `this`, which is stable — reuse it.
     completed_chunks_ = 0;
     start_time_ = 0.0;
     end_time_ = 0.0;
@@ -112,7 +109,8 @@ CollectiveSession::submitStage(std::size_t chunk_idx, int stage_index,
                  stage.dim, engine->globalDim(), entering,
                  model_->dim(stage.dim),
                  stepFor(stage.phase, entering, stage.dim),
-                 on_op_complete_, flow_);
+                 [this](const ChunkOp& op) { onOpComplete(op); },
+                 flow_);
     engine->enqueue(std::move(op));
 }
 

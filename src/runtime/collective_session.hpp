@@ -65,11 +65,11 @@ class CollectiveSession
 
     /**
      * Re-arm this session object for a new collective, reusing its
-     * engine-vector capacity and completion closure (the runtime's
-     * iteration-epoch session pool recycles sessions this way, so
-     * steady-state iterations construct no sessions at all). Requires
-     * the previous collective to have completed (asserts). The event
-     * queue binding is fixed for the object's lifetime.
+     * engine-vector capacity (the runtime's iteration-epoch session
+     * pool recycles sessions this way, so steady-state iterations
+     * construct no sessions at all). Requires the previous
+     * collective to have completed (asserts). The event queue binding
+     * is fixed for the object's lifetime.
      */
     void reset(int id, CollectiveType type, SchedulePtr schedules,
                const std::vector<DimensionEngine*>& engines,
@@ -123,9 +123,6 @@ class CollectiveSession
     CompletionCallback on_done_;
     FlowClass flow_;
     PlanCache* step_cache_;
-    /** One op-completion closure, built once and copied per op
-     *  (small-buffer copy; no per-stage closure allocations). */
-    std::function<void(const ChunkOp&)> on_op_complete_;
     /**
      * This collective's resolved step aggregates: every op of a stage
      * shares its key, so the plan cache sees one lookup per distinct

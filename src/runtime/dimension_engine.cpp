@@ -164,10 +164,16 @@ DimensionEngine::readyInsert(std::uint32_t s)
     // New ops and retries carry the newest sequence number; only
     // enforced-order releases put back an older one.
     const std::uint64_t seq = slot.arrival_seq;
-    b.ops.insert(b.ops.empty() || b.ops.back().seq < seq
-                     ? b.ops.end()
-                     : std::lower_bound(b.live(), b.ops.end(), seq,
-                                        seq_before),
+    if (b.ops.empty() || b.ops.back().seq < seq) {
+        // Fill the appended entry in place: copying a just-built
+        // ReadyOp would reload it as one wide word, which stalls on
+        // the narrower stores that built it.
+        ReadyOp& r = b.ops.emplace_back();
+        r.seq = seq;
+        r.slot = s;
+        return;
+    }
+    b.ops.insert(std::lower_bound(b.live(), b.ops.end(), seq, seq_before),
                  ReadyOp{seq, s});
 }
 
@@ -601,8 +607,8 @@ DimensionEngine::addActive(const ChunkOp& op)
         std::pair<TimeNs, std::uint32_t>{op.fixed_delay, 0});
     if (it != active_delays_.end() && it->first == op.fixed_delay)
         ++it->second;
-    else
-        active_delays_.insert(it, {op.fixed_delay, 1});
+    else // built in place, as in readyInsert
+        active_delays_.emplace(it, op.fixed_delay, 1u);
 }
 
 inline void

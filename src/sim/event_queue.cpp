@@ -82,7 +82,7 @@ EventQueue::releaseAll()
 {
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
         Slot& slot = slots_[i];
-        if (slot.invoke != nullptr) {
+        if (slot.fire != nullptr) {
             slot.destroy(slot.storage);
             releaseSlot(i);
         }
@@ -101,7 +101,7 @@ EventQueue::cancel(EventId id)
     const auto idx = static_cast<std::uint32_t>(high - 1);
     const auto generation = static_cast<std::uint32_t>(id);
     Slot& slot = slots_[idx];
-    if (slot.invoke == nullptr || slot.generation != generation)
+    if (slot.fire == nullptr || slot.generation != generation)
         return; // already fired/cancelled (or slot since recycled)
     // The back-pointer finds the pending entry, which leaves the
     // store at once. A cohort member (collected, not yet fired) has
@@ -365,15 +365,19 @@ EventQueue::calPeek(Entry& out)
 }
 
 bool
-EventQueue::peekNext(Entry& out)
+EventQueue::peekNext(TimeNs& when)
 {
     if (front_end_ == EventFrontEnd::Heap) {
         if (heap_.empty())
             return false;
-        out = heap_.front();
+        when = heap_.front().when;
         return true;
     }
-    return calPeek(out);
+    Entry head{0.0, 0, 0, 0};
+    if (!calPeek(head))
+        return false;
+    when = head.when;
+    return true;
 }
 
 void
@@ -411,13 +415,13 @@ EventQueue::runCohorts(TimeNs until, bool bounded)
     // Steal the scratch buffer so a handler that re-enters run()
     // (never done today, but harmless) gets a fresh one.
     std::vector<Entry> cohort = std::move(cohort_scratch_);
-    Entry head{0.0, 0, 0, 0};
-    while (peekNext(head)) {
-        if (bounded && head.when > until)
+    TimeNs when = 0.0;
+    while (peekNext(when)) {
+        if (bounded && when > until)
             break;
         cohort.clear();
-        collectCohortAt(head.when, cohort);
-        now_ = head.when;
+        collectCohortAt(when, cohort);
+        now_ = when;
         // If a handler throws (sweep jobs legitimately propagate
         // ConfigError through run()), the not-yet-fired remainder of
         // the cohort goes back into the pending store so the queue
@@ -449,26 +453,9 @@ EventQueue::runCohorts(TimeNs until, bool bounded)
             cohort_guard.next = c + 1;
             // Re-check liveness per event: an earlier cohort member's
             // handler may have cancelled this one.
-            Slot& slot = slots_[e.slot];
-            if (slot.invoke == nullptr || slot.generation != e.generation)
+            if (entryStale(e))
                 continue;
-            // Move the closure onto the stack before invoking: the
-            // handler may schedule events, growing the slab and moving
-            // the slot.
-            alignas(std::max_align_t) unsigned char local[kInlineCapacity];
-            auto* invoke = slot.invoke;
-            auto* destroy = slot.destroy;
-            slot.relocate(local, slot.storage);
-            releaseSlot(e.slot);
-            --live_events_;
-            // Destroy the local copy even when the handler throws.
-            struct Guard
-            {
-                void (*destroy)(void*);
-                void* closure;
-                ~Guard() { destroy(closure); }
-            } guard{destroy, local};
-            invoke(local);
+            slots_[e.slot].fire(*this, e.slot);
             ++fired;
         }
         cohort_guard.armed = false;

@@ -11,6 +11,14 @@
  * list, so steady-state scheduling performs no heap allocation:
  * handlers whose closure fits kInlineCapacity bytes are constructed
  * in place inside the slot (larger ones fall back to a heap box).
+ * Next to the closure a slot holds two function pointers stamped out
+ * per closure type: `fire` (also the slot's liveness flag) and
+ * `destroy`, for cancellation and teardown. An event fires through
+ * one indirect call: `fire` moves the closure onto its own stack
+ * frame, destroys the slot's copy, releases the slot and invokes the
+ * closure, so a handler is free to schedule into (and grow) the slab,
+ * and its closure is destroyed exactly once whether it returns or
+ * throws.
  * Event ids are generation-tagged — an id encodes (slot, generation)
  * and a slot's generation bumps on every release — so cancellation is
  * O(1) and a stale id from a previous tenant of the slot can never
@@ -208,16 +216,16 @@ class EventQueue
     };
 
     /**
-     * One pooled event. `invoke` doubles as the liveness flag; the
+     * One pooled event. `fire` doubles as the liveness flag; the
      * closure lives in `storage`. Freed slots chain through
      * `next_free` and bump `generation` so stale ids miss.
      */
     struct Slot
     {
         alignas(std::max_align_t) unsigned char storage[kInlineCapacity];
-        void (*invoke)(void*) = nullptr;
-        /** Move-construct the closure into @p dst, destroy @p src. */
-        void (*relocate)(void* dst, void* src) = nullptr;
+        /** fireSlot<Fn>: run and retire the event in slot @p idx. */
+        void (*fire)(EventQueue& queue, std::uint32_t idx) = nullptr;
+        /** Destroy the stored closure without running it. */
         void (*destroy)(void*) = nullptr;
         std::uint32_t generation = 0;
         std::uint32_t next_free = kNoSlot;
@@ -256,6 +264,25 @@ class EventQueue
         return (static_cast<EventId>(slot) + 1) << 32 | generation;
     }
 
+    /**
+     * Fire the event stored in slot @p idx: move its closure onto this
+     * frame (the handler may grow the slab and move the slot), retire
+     * the slot, then invoke. The local closure is destroyed on return
+     * and on unwind alike.
+     */
+    template <typename Fn>
+    static void
+    fireSlot(EventQueue& queue, std::uint32_t idx)
+    {
+        Fn* stored =
+            std::launder(reinterpret_cast<Fn*>(queue.slots_[idx].storage));
+        Fn fn(std::move(*stored));
+        stored->~Fn();
+        queue.releaseSlot(idx);
+        --queue.live_events_;
+        fn();
+    }
+
     template <typename Fn, typename Arg>
     EventId
     emplaceEvent(TimeNs when, Arg&& fn)
@@ -265,12 +292,10 @@ class EventQueue
         const std::uint32_t idx = allocSlot();
         Slot& slot = slots_[idx];
         ::new (static_cast<void*>(slot.storage)) Fn(std::forward<Arg>(fn));
-        slot.invoke = [](void* p) { (*static_cast<Fn*>(p))(); };
-        slot.relocate = [](void* dst, void* src) {
-            ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-            static_cast<Fn*>(src)->~Fn();
+        slot.fire = &fireSlot<Fn>;
+        slot.destroy = [](void* p) {
+            std::launder(static_cast<Fn*>(p))->~Fn();
         };
-        slot.destroy = [](void* p) { static_cast<Fn*>(p)->~Fn(); };
         pushEntry(Entry{when < now_ ? now_ : when, next_seq_++, idx,
                         slot.generation});
         ++live_events_;
@@ -286,16 +311,17 @@ class EventQueue
     entryStale(const Entry& e) const
     {
         const Slot& slot = slots_[e.slot];
-        return slot.invoke == nullptr || slot.generation != e.generation;
+        return slot.fire == nullptr || slot.generation != e.generation;
     }
 
     void pushEntry(const Entry& e);
     /**
-     * Locate the earliest live entry without removing it; caches its
-     * position so an immediately following pop is O(1).
+     * Locate the earliest live entry without removing it and store its
+     * timestamp in @p when; caches its position so an immediately
+     * following pop is O(1).
      * @return false when no live entries remain.
      */
-    bool peekNext(Entry& out);
+    bool peekNext(TimeNs& when);
     /**
      * Remove every live entry with timestamp exactly @p when into
      * @p cohort, ordered by sequence number. Must follow a successful
@@ -388,8 +414,7 @@ inline void
 EventQueue::releaseSlot(std::uint32_t idx)
 {
     Slot& slot = slots_[idx];
-    slot.invoke = nullptr;
-    slot.relocate = nullptr;
+    slot.fire = nullptr;
     slot.destroy = nullptr;
     ++slot.generation; // stale ids and cohort entries now miss
     slot.next_free = free_head_;
@@ -413,7 +438,7 @@ EventQueue::retime(EventId id, TimeNs when)
         return false;
     const auto idx = static_cast<std::uint32_t>(high - 1);
     Slot& slot = slots_[idx];
-    if (slot.invoke == nullptr ||
+    if (slot.fire == nullptr ||
         slot.generation != static_cast<std::uint32_t>(id) ||
         slot.bucket == kNoSlot)
         return false;
@@ -486,7 +511,10 @@ EventQueue::heapFix(std::size_t pos)
 inline void
 EventQueue::heapPush(const Entry& e)
 {
-    heap_.push_back(e);
+    // Grow by a blank entry and let the sift store @p e: a copy of a
+    // just-built Entry would reload it from the stack as one wide
+    // word, which stalls on the narrower stores that built it.
+    heap_.emplace_back();
     heapSiftUp(heap_.size() - 1, e);
 }
 

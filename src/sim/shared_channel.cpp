@@ -146,7 +146,7 @@ SharedChannel::sync()
 SharedChannel::TransferId
 SharedChannel::begin(Bytes bytes, Callback on_done)
 {
-    return begin(bytes, 1.0, std::move(on_done), 0);
+    return begin(bytes, 1.0, on_done, 0);
 }
 
 SharedChannel::TransferId
@@ -165,8 +165,8 @@ SharedChannel::begin(Bytes bytes, double weight, Callback on_done,
     const std::uint32_t idx = allocSlot();
     Transfer& t = slots_[idx];
     ClassState& cs = classes_[priority_class];
-    t.on_done = std::move(on_done);
-    t.on_fail = std::move(on_fail);
+    t.on_done = on_done;
+    t.on_fail = on_fail;
     t.weight = weight;
     t.cls_state = &cs;
     t.live = true;
@@ -333,7 +333,7 @@ SharedChannel::failActive()
         // progress accounts; only the remainder is lost.
         const double residual = (entry.v_end - vtime_) * t.weight;
         const Bytes remaining = residual > 0.0 ? residual : 0.0;
-        failed.emplace_back(std::move(t.on_fail), remaining);
+        failed.emplace_back(t.on_fail, remaining);
         release(entry.slot);
     }
     finish_heap_.clear();
@@ -438,33 +438,48 @@ SharedChannel::onCompletionEvent()
     // advanceTo attributed (vtime_ - v_start) * weight to it, so the
     // weight-scaled residual (v_end - vtime_) * weight (positive for
     // a force-drained sliver, negative for ulp overshoot) closes the
-    // books — conservation is exact per class and in aggregate. The
-    // drain buffer is a reused member, stolen for the duration so the
-    // steady state allocates nothing.
-    std::vector<Drained> done = std::move(drained_);
-    done.clear();
-    while (dropStaleTop() && finish_heap_.front().v_end <= threshold) {
+    // books — conservation is exact per class and in aggregate.
+    const auto drained = [this, threshold] {
+        return dropStaleTop() && finish_heap_.front().v_end <= threshold;
+    };
+    const auto drainTop = [this](Drained& out) {
         const FinishEntry entry = finish_heap_.front();
         heapPop();
         Transfer& t = slots_[entry.slot];
         const double residual = (entry.v_end - vtime_) * t.weight;
         progressed_bytes_ += residual;
         t.cls_state->progressed += residual;
-        done.push_back(Drained{entry.seq, std::move(t.on_done)});
+        out.seq = entry.seq;
+        out.on_done = t.on_done;
         release(entry.slot);
+    };
+    THEMIS_ASSERT(drained(), "completion event fired with nothing drained");
+    Drained first{};
+    drainTop(first);
+    if (!drained()) {
+        // The common case: one transfer drained, and its callback
+        // runs straight from the local copy.
+        first.on_done();
+    } else {
+        // Simultaneous completions go through the drain buffer, a
+        // reused member stolen for the duration so the steady state
+        // allocates nothing. Callbacks run in begin order, matching
+        // the historical id-ordered drain scan.
+        std::vector<Drained> done = std::move(drained_);
+        done.clear();
+        done.push_back(first);
+        do {
+            drainTop(done.emplace_back());
+        } while (drained());
+        std::sort(done.begin(), done.end(),
+                  [](const Drained& a, const Drained& b) {
+                      return a.seq < b.seq;
+                  });
+        for (Drained& d : done)
+            d.on_done();
+        done.clear();
+        drained_ = std::move(done);
     }
-    THEMIS_ASSERT(!done.empty(),
-                  "completion event fired with nothing drained");
-    // Callbacks run in begin order, matching the historical
-    // id-ordered drain scan.
-    std::sort(done.begin(), done.end(),
-              [](const Drained& a, const Drained& b) {
-                  return a.seq < b.seq;
-              });
-    for (Drained& d : done)
-        d.on_done();
-    done.clear();
-    drained_ = std::move(done);
     // Callbacks may have begun new transfers (each begin() already
     // rescheduled); make sure a completion is queued for survivors.
     if (pending_event_ == 0)

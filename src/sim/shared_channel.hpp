@@ -39,6 +39,15 @@
  * utilization columns. (Busy time per dimension, Fig 9, comes from
  * stats::ActivityTimeline, not from the channel.)
  *
+ * Callbacks are in-place, trivially copyable callables
+ * (InlineFunction, no type-erased manager): a transfer slot and the
+ * drain buffer hold them by value, so storing one is a bitwise copy
+ * and releasing a slot is a pointer store, with no allocation or
+ * indirect manager call per transfer. A completion event that drains
+ * one transfer (the usual case) calls its callback straight from a
+ * local copy; only simultaneous drains go through the drain buffer
+ * and its begin-order sort.
+ *
  * The per-transfer helpers (allocSlot, heapPush/heapPop, release,
  * maybeRebase, advanceTo, dropStaleTop, reschedule) are inline and
  * defined in shared_channel.cpp, their only caller.
@@ -48,10 +57,10 @@
 #define THEMIS_SIM_SHARED_CHANNEL_HPP
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
+#include "common/inline_function.hpp"
 #include "common/small_vector.hpp"
 #include "common/units.hpp"
 #include "sim/event_queue.hpp"
@@ -77,17 +86,23 @@ class SharedChannel
      */
     using TransferId = std::uint64_t;
 
-    /** Invoked (at completion time) when a transfer's bytes drain. */
-    using Callback = std::function<void()>;
+    /**
+     * Invoked (at completion time) when a transfer's bytes drain. A
+     * trivially copyable closure of at most 32 bytes, stored in place
+     * (see common/inline_function.hpp): a lambda capturing references,
+     * pointers or plain values converts; one owning a std::function,
+     * a container or a shared_ptr does not compile.
+     */
+    using Callback = InlineFunction<void(), 32>;
 
     /**
      * Invoked when a transfer FAILS (link flap via failActive()); the
      * argument is the untransferred remainder in bytes. Partial
      * progress stays accounted in progressedBytes() — those wire
      * bytes really moved — and the caller is expected to retry the
-     * whole transfer.
+     * whole transfer. Same in-place closure rules as Callback.
      */
-    using FailCallback = std::function<void(Bytes remaining)>;
+    using FailCallback = InlineFunction<void(Bytes remaining), 32>;
 
     /**
      * @param queue    event queue driving this channel
@@ -226,7 +241,8 @@ class SharedChannel
      * chain through `next_free` and bump `generation`, so stale ids
      * and heap entries from a previous tenant miss. The finish point
      * lives solely in the heap's FinishEntry; the slot holds the
-     * callbacks plus the flow parameters needed to settle accounts.
+     * callbacks (by value, in place) plus the flow parameters needed
+     * to settle accounts.
      * `cls_state` points into classes_ (unordered_map nodes never
      * move, and retireClass() requires an idle class).
      */
@@ -341,7 +357,8 @@ class SharedChannel
      * affect any accounted value.
      */
     SmallVector<ClassState*, 8> busy_classes_;
-    /** Reused by onCompletionEvent(): drained callbacks to invoke. */
+    /** Reused by onCompletionEvent() when several transfers drain at
+     *  once (a lone drain calls its callback from a local copy). */
     std::vector<Drained> drained_;
     std::uint64_t next_seq_ = 1;
     TimeNs last_update_ = 0.0;

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -497,6 +498,62 @@ TEST_P(EventQueueFrontEnds, ThrowingHandlerLeavesQueueResumable)
     q.run();
     EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
     EXPECT_TRUE(q.empty());
+}
+
+/**
+ * Schedule copies of @p count (which references a token) to fire, be
+ * cancelled and still be pending at destruction, and @p thrower to
+ * throw, checking after each step that exactly the closures still
+ * stored hold a reference: a leaked closure keeps the count high, a
+ * double destruction drives it low (and trips ASan).
+ */
+template <typename Count, typename Thrower>
+void
+checkClosureLifetimes(EventFrontEnd front_end,
+                      const std::shared_ptr<int>& token, Count count,
+                      Thrower thrower)
+{
+    const long held = token.use_count(); // ours: count and thrower
+    {
+        EventQueue q(front_end);
+        q.schedule(1.0, count);                     // fires
+        q.schedule(2.0, thrower);                   // throws
+        const auto cancelled = q.schedule(3.0, count);
+        q.schedule(4.0, count);                     // outlives run()
+        EXPECT_EQ(token.use_count(), held + 4);
+        q.runUntil(1.0);
+        EXPECT_EQ(token.use_count(), held + 3);
+        EXPECT_THROW(q.run(), std::runtime_error);
+        EXPECT_EQ(token.use_count(), held + 2);
+        q.cancel(cancelled);
+        EXPECT_EQ(token.use_count(), held + 1);
+        EXPECT_EQ(q.pendingCount(), 1u);
+    }
+    EXPECT_EQ(token.use_count(), held);
+}
+
+TEST_P(EventQueueFrontEnds, ClosureDestroyedExactlyOnceOnEveryPath)
+{
+    auto token = std::make_shared<int>(0);
+    checkClosureLifetimes(
+        GetParam(), token, [token] { ++*token; },
+        [token] { throw std::runtime_error("boom"); });
+    // The same paths for closures too big for a slot (boxed).
+    struct Pad
+    {
+        double bytes[8];
+    };
+    static_assert(sizeof(Pad) > EventQueue::kInlineCapacity);
+    const Pad pad{};
+    checkClosureLifetimes(
+        GetParam(), token,
+        [token, pad] { *token += 1 + static_cast<int>(pad.bytes[0]); },
+        [token, pad] {
+            (void)pad;
+            throw std::runtime_error("boom");
+        });
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(*token, 2);
 }
 
 TEST_P(EventQueueFrontEnds, CancelChurnStaysConsistent)

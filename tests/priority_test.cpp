@@ -113,9 +113,9 @@ TEST(WeightedChannel, WeightAwareRebasePastPetascale)
     std::function<void()> next = [&] {
         ++done;
         if (done < kCount)
-            ch.begin(kTransfer, 0.5, next, done % 2);
+            ch.begin(kTransfer, 0.5, [&next] { next(); }, done % 2);
     };
-    ch.begin(kTransfer, 0.5, next, 0);
+    ch.begin(kTransfer, 0.5, [&next] { next(); }, 0);
     q.run();
     ch.sync();
     EXPECT_EQ(done, kCount);

@@ -379,9 +379,9 @@ TEST(SharedChannel, VirtualTimeRebasePreservesConservation)
     std::function<void()> next = [&] {
         ++done;
         if (done < kCount)
-            ch.begin(kTransfer, next);
+            ch.begin(kTransfer, [&next] { next(); });
     };
-    ch.begin(kTransfer, next);
+    ch.begin(kTransfer, [&next] { next(); });
     q.run();
     ch.sync();
     EXPECT_EQ(done, kCount);

@@ -3,7 +3,7 @@
 
     python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR [--pairs N]
         [--seconds S] [--workloads a,b] [--seed N] [--out runs.jsonl]
-        [--layers]
+        [--layers [N]]
     python3 tools/perf_pairs.py --summarize runs.jsonl
     python3 tools/perf_pairs.py --self-test
 
@@ -24,11 +24,15 @@ is worse than the parent's by more than the metric's bound. Any pair
 whose sides disagree on sim_time_ms or failed, or any run that is not
 correct, is flagged and makes the exit status 1.
 
---layers adds, after the pairs, one `--trace 1` run per side per
-workload and prints every per-layer metric of BENCHMARK.json as
-parent -> change with the relative change. One traced run per side is
-an attribution, not a measurement: it says which layer moved, while
-the pairs say by how much the end-to-end metrics did.
+--layers N adds, after the pairs, N `--trace 1` runs per side per
+workload (alternating which side goes first, like the pairs; a bare
+--layers means N = 1) and prints every per-layer metric of
+BENCHMARK.json as the parent's median -> the change's median, the
+relative change, and in how many of the N rounds the change moved the
+same way as the medians did. A single traced run can read a layer the
+change did not touch 30% off in either direction, so attribute a gain
+to a layer only when most rounds agree. The traced runs attribute; the
+pairs say by how much the end-to-end metrics moved.
 
 After the runs it prints each side's benchmark binary size
 (.bench_build/perfbench/perfbench): the text segment as `size` reports
@@ -113,17 +117,20 @@ def collect(args, out):
 def collect_traced(args, out):
     runs = []
     for workload in args.workloads:
-        for side in SIDES:
-            checkout = args.parent if side == "parent" else args.change
-            result = run_once(checkout, workload, args.seed, args.seconds,
-                              trace=1)
-            run = {"workload": workload, "side": side, "trace": True,
-                   "result": result}
-            runs.append(run)
-            if out is not None:
-                out.write(json.dumps(run) + "\n")
-                out.flush()
-            print("%s traced %s" % (workload, side), file=sys.stderr)
+        for rnd in range(args.layers):
+            order = SIDES if rnd % 2 == 0 else SIDES[::-1]
+            for side in order:
+                checkout = args.parent if side == "parent" else args.change
+                result = run_once(checkout, workload, args.seed,
+                                  args.seconds, trace=1)
+                run = {"workload": workload, "side": side, "trace": True,
+                       "result": result}
+                runs.append(run)
+                if out is not None:
+                    out.write(json.dumps(run) + "\n")
+                    out.flush()
+                print("%s traced %d %s" % (workload, rnd, side),
+                      file=sys.stderr)
     return runs
 
 
@@ -175,28 +182,43 @@ def workloads_of(runs):
 
 def layers(runs, per_layer):
     """Returns (report lines, flags): each per-layer metric of every
-    workload with a traced run on both sides, parent -> change."""
+    workload with traced runs on both sides, the parent's median ->
+    the change's median. The i-th traced run of one side makes a round
+    with the i-th of the other; a metric's count is how many rounds
+    moved the same way as the medians."""
     lines, flags = [], []
     traced = [r for r in runs if r.get("trace")]
     for workload in workloads_of(traced):
-        sides = {r["side"]: r["result"] for r in traced
-                 if r["workload"] == workload}
-        if len(sides) != 2:
+        sides = {s: [r["result"] for r in traced
+                     if r["workload"] == workload and r["side"] == s]
+                 for s in SIDES}
+        rounds = min(len(sides[s]) for s in SIDES)
+        if rounds == 0:
             continue
         for side in SIDES:
-            if not sides[side]["correct"]:
-                flags.append("%s traced %s run not correct"
-                             % (workload, side))
-        lines.append("%s: per layer, one traced run per side" % workload)
+            for i, result in enumerate(sides[side][:rounds]):
+                if not result["correct"]:
+                    flags.append("%s traced %s run %d not correct"
+                                 % (workload, side, i))
+        lines.append("%s: per layer, median of %d traced run%s per side, "
+                     "rounds that moved with it" % (
+                         workload, rounds, "" if rounds == 1 else "s"))
         for metric in per_layer:
             name = metric["name"]
-            a, b = (sides[s]["metrics"].get(name, {}).get("value")
-                    for s in SIDES)
+            vals = [[r["metrics"].get(name, {}).get("value")
+                     for r in sides[s][:rounds]] for s in SIDES]
+            a, b = (None if None in v else quantile(v, 0.5) for v in vals)
             line = "  %-40s %12s -> %-12s" % (
                 name, "n/a" if a is None else "%.6g" % a,
                 "n/a" if b is None else "%.6g" % b)
-            if a is not None and b is not None and a != 0:
-                line += " %+.1f%%" % (100.0 * (b - a) / a)
+            if a is not None and b is not None:
+                if a != 0:
+                    line += " %+7.1f%%" % (100.0 * (b - a) / a)
+                if a != b:
+                    up = b > a
+                    moved = sum((c > p) if up else (c < p)
+                                for p, c in zip(*vals))
+                    line += "  %d/%d" % (moved, rounds)
             lines.append(line.rstrip())
     return lines, flags
 
@@ -333,19 +355,49 @@ def self_test():
                           per_layer)
     print("\n".join(lines + flags))
     assert lines == [
-        "x: per layer, one traced run per side",
+        "x: per layer, median of 1 traced run per side, rounds that "
+        "moved with it",
         "  runtime.issue_ns                               536000 -> 35000"
-        "        -93.5%",
+        "          -93.5%  1/1",
         "  core.order_planner.ns_per_collective           501000 -> 120"
-        "          -100.0%",
+        "           -100.0%  1/1",
         "  sim.channel.classes                               n/a -> n/a",
-        "y: per layer, one traced run per side",
+        "y: per layer, median of 1 traced run per side, rounds that "
+        "moved with it",
         "  runtime.issue_ns                                    1 -> 1"
-        "            +0.0%",
-        "  core.order_planner.ns_per_collective                0 -> 1",
+        "               +0.0%",
+        "  core.order_planner.ns_per_collective                0 -> 1"
+        "             1/1",
         "  sim.channel.classes                               n/a -> n/a",
     ], lines
-    assert flags == ["y traced change run not correct"], flags
+    assert flags == ["y traced change run 0 not correct"], flags
+
+    # Several traced rounds: medians per side, and the rounds in which
+    # the change moved the way the medians did. issue_ns, rounds
+    # (parent, change): (10, 8), (12, 13), (11, 9), (30, 10) -> parent
+    # median 11.5, change 9.5; the change is lower in 3 of 4 rounds.
+    # The planner metric moves up in the medians (1.5 -> 2) but in
+    # only 2 of 4 rounds; a fifth parent run without a partner is
+    # ignored.
+    rounds = [(10, 8, 1, 3), (12, 13, 2, 2), (11, 9, 1, 2),
+              (30, 10, 2, 1), (99, None, 0, None)]
+    multi = []
+    for p_issue, c_issue, p_plan, c_plan in rounds:
+        multi.append(traced("z", "parent", p_issue, p_plan))
+        if c_issue is not None:
+            multi.append(traced("z", "change", c_issue, c_plan))
+    lines, flags = layers(multi, per_layer)
+    print("\n".join(lines + flags))
+    assert lines == [
+        "z: per layer, median of 4 traced runs per side, rounds that "
+        "moved with it",
+        "  runtime.issue_ns                                 11.5 -> 9.5"
+        "            -17.4%  3/4",
+        "  core.order_planner.ns_per_collective              1.5 -> 2"
+        "              +33.3%  2/4",
+        "  sim.channel.classes                               n/a -> n/a",
+    ], lines
+    assert flags == [], flags
 
     # Binary sizes: summarize() and layers() skip them.
     assert text_bytes("   text    data     bss     dec     hex filename\n"
@@ -380,13 +432,17 @@ def main():
                     help="comma-separated (default: every BENCHMARK.json "
                          "workload)")
     ap.add_argument("--out", help="append every run to this JSONL file")
-    ap.add_argument("--layers", action="store_true",
-                    help="after the pairs, one --trace 1 run per side "
-                         "per workload; print each per-layer metric")
+    ap.add_argument("--layers", type=int, nargs="?", const=1, default=0,
+                    metavar="N",
+                    help="after the pairs, N --trace 1 runs per side "
+                         "per workload (bare --layers: N = 1); print "
+                         "each per-layer metric's medians")
     ap.add_argument("--summarize", metavar="JSONL",
                     help="summarize a file written by --out; runs nothing")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
+    if args.layers < 0:
+        ap.error("--layers needs N >= 0")
     if args.self_test:
         return self_test()
     bench = load_benchmark(args.change or ROOT)
